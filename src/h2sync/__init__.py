@@ -61,7 +61,6 @@ from .linalg import (
     h2_norm,
     hinf_norm,
     is_hurwitz,
-    lyapunov_kron,
     solve_care_standard,
     solve_filter_riccati,
     solve_lyapunov,

@@ -3,8 +3,7 @@
 Continuous algebraic Riccati equations are solved by ordered real Schur
 decomposition of the associated Hamiltonian matrix, with Newton defect
 correction when the residual is above tolerance.  Lyapunov equations
-go through Bartels-Stewart (with a direct Kronecker solve available as a
-cross-check for small problems).  H2 norms use the controllability
+go through Bartels-Stewart.  H2 norms use the controllability
 Gramian; H-infinity norms use bisection with the Hamiltonian
 imaginary-axis eigenvalue test.
 """
@@ -29,7 +28,6 @@ __all__ = [
     "solve_care_standard",
     "solve_filter_riccati",
     "solve_lyapunov",
-    "lyapunov_kron",
     "h2_norm",
     "hinf_norm",
     "spectral_abscissa",
@@ -216,12 +214,13 @@ def solve_filter_riccati(A, E, C, rho, delta, tols: Tolerances = DEFAULT):
     return StableSubspaceResult(Q, res_norm, spectrum)
 
 
-def solve_lyapunov(A, W, tols: Tolerances = DEFAULT):
+def solve_lyapunov(A, W, tols: Tolerances = DEFAULT, spectrum=None):
     """Solve A X + X A^T + W = 0 for Hurwitz A and symmetric W.
 
     Bartels-Stewart via the real Schur form (scipy's
     solve_continuous_lyapunov).  Raises NotHurwitz when the spectral
-    abscissa of A is >= -hurwitz_margin.
+    abscissa of A is >= -hurwitz_margin.  spectrum, the eigenvalues of
+    A, is computed here unless the caller already has it.
     """
     A = _as_matrix(A, "A")
     W = _as_matrix(W, "W")
@@ -229,8 +228,9 @@ def solve_lyapunov(A, W, tols: Tolerances = DEFAULT):
         raise DimensionMismatch(
             f"need square A and matching W, got {A.shape} and {W.shape}"
         )
-    hurwitz, spectrum = is_hurwitz(A)
-    if not hurwitz or spectrum.real.max() >= -tols.hurwitz_margin:
+    if spectrum is None:
+        _, spectrum = is_hurwitz(A)
+    if not spectrum.real.max() < -tols.hurwitz_margin:
         raise NotHurwitz(
             f"A has spectral abscissa {spectrum.real.max():.3e}", spectrum
         )
@@ -251,32 +251,17 @@ def solve_lyapunov(A, W, tols: Tolerances = DEFAULT):
     return X
 
 
-def lyapunov_kron(A, W):
-    """Direct Kronecker-product solve of A X + X A^T + W = 0.
-
-    O(n^6) cross-check path; only sensible for n <= 30.
-    """
-    A = _as_matrix(A, "A")
-    W = _as_matrix(W, "W")
-    n = A.shape[0]
-    if n > 30:
-        raise DimensionMismatch(f"Kronecker solve limited to n <= 30, got {n}")
-    K = np.kron(np.eye(n), A) + np.kron(A, np.eye(n))
-    x = np.linalg.solve(K, -W.reshape(-1, order="F"))
-    X = x.reshape((n, n), order="F")
-    return 0.5 * (X + X.T)
-
-
-def h2_norm(A, B, C, tols: Tolerances = DEFAULT):
+def h2_norm(A, B, C, tols: Tolerances = DEFAULT, spectrum=None):
     """H2 norm of the strictly proper system (A, B, C).
 
     sqrt(trace(C X C^T)) with the controllability Gramian X solving
-    A X + X A^T + B B^T = 0.  A must be Hurwitz.
+    A X + X A^T + B B^T = 0.  A must be Hurwitz; spectrum is passed on
+    to solve_lyapunov.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
     C = _as_matrix(C, "C")
-    X = solve_lyapunov(A, B @ B.T, tols)
+    X = solve_lyapunov(A, B @ B.T, tols, spectrum)
     val = np.trace(C @ X @ C.T)
     return float(np.sqrt(max(val, 0.0)))
 

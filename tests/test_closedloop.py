@@ -1,8 +1,14 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from conftest import random_spanning_tree_graph
 from scipy.integrate import quad
 
+import h2sync.closedloop as closedloop
+import h2sync.linalg as linalg
 from h2sync.cases import (
     case1_graph,
     case2_graph,
@@ -10,6 +16,7 @@ from h2sync.cases import (
     triple_integrator_full_state,
 )
 from h2sync.closedloop import (
+    ClosedLoop,
     assemble_p1,
     assemble_p2,
     assemble_stacked,
@@ -21,8 +28,9 @@ from h2sync.closedloop import (
 from h2sync.conditions import AgentModel
 from h2sync.errors import DimensionMismatch, NotHurwitz
 from h2sync.graph import CommGraph, laplacian
-from h2sync.linalg import hinf_norm, is_hurwitz, spectral_abscissa
+from h2sync.linalg import h2_norm, hinf_norm, is_hurwitz, spectral_abscissa
 from h2sync.protocol import synthesize_p1, synthesize_p2
+from h2sync.tolerances import Tolerances
 
 
 def scalar_model_full():
@@ -35,6 +43,21 @@ def scalar_model_partial():
 
 def two_agent_chain():
     return CommGraph(np.array([[0.0, 0], [1, 0]]))
+
+
+def dense_only(cl: ClosedLoop) -> ClosedLoop:
+    """The same loop without mode data, so error_h2 takes the dense path."""
+    return dataclasses.replace(cl, modes=None)
+
+
+@pytest.fixture(scope="module")
+def designs():
+    """(model, realization, assembler) for p1 and p2 at rho = 4."""
+    full, partial = triple_integrator_full_state(), triple_integrator()
+    return [
+        (full, synthesize_p1(full, 4.0), assemble_p1),
+        (partial, synthesize_p2(partial, 4.0, delta_hint=0.0004), assemble_p2),
+    ]
 
 
 class TestAssembleP1:
@@ -112,26 +135,34 @@ class TestAssembleP2:
 
 
 class TestStackedCrossCheck:
-    def check(self, model, real, g, expected_raw_dim):
+    def check(self, model, real, g, expected_raw_dim=None):
         raw = assemble_stacked(model, real, g)
-        assert raw.A_cl.shape == (expected_raw_dim, expected_raw_dim)
-        # whole network is only marginally stable (synchronized motion)
-        assert abs(spectral_abscissa(raw.A_cl)) < 1e-3
-        with pytest.raises(NotHurwitz):
-            error_h2(raw)
+        if expected_raw_dim is not None:
+            assert raw.A_cl.shape == (expected_raw_dim, expected_raw_dim)
+            # whole network is only marginally stable (synchronized motion)
+            assert abs(spectral_abscissa(raw.A_cl)) < 1e-3
+            with pytest.raises(NotHurwitz):
+                error_h2(raw)
         red = reduce_to_differences(raw, model, real)
         lp = laplacian(g)
         if real.kind == "p1":
             err = assemble_p1(model, real, lp)
         else:
             err = assemble_p2(model, real, lp)
+        assert err.modes is not None and red.modes is None
         v_err = error_h2(err)
+        # the modal kernel against a dense Lyapunov solve on A_cl
+        assert v_err == pytest.approx(h2_norm(err.A_cl, err.B_cl, err.C_cl), rel=1e-8)
         v_raw = error_h2(red)
         assert v_raw == pytest.approx(v_err, rel=1e-6)
 
     def test_p1_case1(self):
         m = triple_integrator_full_state()
         self.check(m, synthesize_p1(m, 4.0), case1_graph(), 2 * 3 * 3)
+
+    def test_p1_case2(self):
+        m = triple_integrator_full_state()
+        self.check(m, synthesize_p1(m, 6.0), case2_graph(), 2 * 20 * 3)
 
     def test_p2_case1(self):
         m = triple_integrator()
@@ -142,6 +173,15 @@ class TestStackedCrossCheck:
         m = triple_integrator()
         real = synthesize_p2(m, 6.0, delta_hint=0.0004)
         self.check(m, real, case2_graph(), 3 * 20 * 3)
+
+    # sizes up to 16 keep the two dense oracles affordable; graph 0 has
+    # N = 50
+    @pytest.mark.parametrize("seed", range(100))
+    def test_random_graph(self, designs, seed):
+        rng = np.random.default_rng([7, seed])
+        g, _ = random_spanning_tree_graph(rng, 50 if seed == 0 else int(rng.integers(2, 17)))
+        for model, real, _ in designs:
+            self.check(model, real, g)
 
     def test_reduction_rejects_error_form(self):
         m = triple_integrator()
@@ -170,6 +210,70 @@ class TestErrorH2:
         real = synthesize_p1(m, 4.0)
         cl = assemble_p1(m, real, laplacian(case1_graph()))
         assert error_h2(cl) == 0.0
+
+    def test_zero_disturbance_p2(self):
+        base = triple_integrator()
+        real = synthesize_p2(base, 4.0, delta_hint=0.0004)
+        m0 = AgentModel(base.A, base.B, base.C, np.zeros((3, 1)))
+        h2 = error_h2(assemble_p2(m0, real, laplacian(case1_graph())))
+        assert h2 == 0.0 and math.copysign(1.0, h2) == 1.0
+
+    def test_dense_path_checks_hurwitz_once(self, designs, monkeypatch):
+        calls = []
+        original = linalg.is_hurwitz
+
+        def counting(A):
+            calls.append(A.shape)
+            return original(A)
+
+        # error_h2 reaches is_hurwitz through both module bindings
+        monkeypatch.setattr(linalg, "is_hurwitz", counting)
+        monkeypatch.setattr(closedloop, "is_hurwitz", counting)
+        model, real, assemble = designs[1]
+        cl = assemble(model, real, laplacian(case2_graph()))
+        dense = error_h2(dense_only(cl))
+        assert calls == [cl.A_cl.shape]
+        calls.clear()
+        # the modal path needs no eigendecomposition of A_cl
+        assert error_h2(cl) == pytest.approx(dense, rel=1e-8)
+        assert calls == []
+
+    @pytest.mark.parametrize("path", ["modal", "dense"])
+    def test_no_spanning_tree_has_zero_mode(self, designs, path):
+        # agents 0 and 2 are both roots: Lbar has a zero eigenvalue
+        adj = np.zeros((4, 4))
+        adj[1, 0] = adj[3, 2] = 1.0
+        for model, real, assemble in designs:
+            cl = assemble(model, real, laplacian(CommGraph(adj)))
+            with pytest.raises(NotHurwitz):
+                error_h2(cl if path == "modal" else dense_only(cl))
+
+    @pytest.mark.parametrize("path", ["modal", "dense"])
+    def test_unstable_design(self, designs, path):
+        # P of the wrong sign turns the feedback A - rho BB^T P unstable
+        for model, real, assemble in designs:
+            bad = dataclasses.replace(real, P=-real.P)
+            cl = assemble(model, bad, laplacian(case1_graph()))
+            with pytest.raises(NotHurwitz, match="closed loop is not Hurwitz"):
+                error_h2(cl if path == "modal" else dense_only(cl))
+
+    @pytest.mark.parametrize("path", ["modal", "dense"])
+    def test_checks_follow_tolerances(self, designs, path):
+        for model, real, assemble in designs:
+            cl = assemble(model, real, laplacian(case1_graph()))
+            cl = cl if path == "modal" else dense_only(cl)
+            with pytest.raises(NotHurwitz, match="spectral abscissa"):
+                error_h2(cl, Tolerances(hurwitz_margin=1e3))
+            with pytest.raises(NotHurwitz, match="Lyapunov residual"):
+                error_h2(cl, Tolerances(lyapunov_residual=0.0))
+
+    def test_mode_data_must_be_block_triangular(self, designs):
+        model, real, assemble = designs[1]
+        modes = assemble(model, real, laplacian(case1_graph())).modes
+        D = modes.D.copy()
+        D[-1, 0] = 1.0
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(modes, D=D)
 
     def test_case1_p2_impulse_energy_oracle(self):
         m = triple_integrator()
