@@ -83,6 +83,7 @@ from .sim import (
     rms_vs_h2_consistency,
     simulate,
     step_matrices,
+    trajectory_blocks,
 )
 from .tolerances import DEFAULT, Tolerances
 

@@ -9,6 +9,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import cases
 from .closedloop import probe_to_csv, rho_scaling_probe
 from .conditions import full_report, parse_model
@@ -27,7 +29,7 @@ from .errors import (
 )
 from .graph import parse_graph
 from .protocol import realization_to_text, synthesize_p1, synthesize_p2
-from .sim import SimConfig, simulate
+from .sim import SimConfig, _max_pair_error, rms, trajectory_blocks
 
 EXIT_OK = 0
 EXIT_SOLVABILITY = 1
@@ -193,18 +195,31 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _trajectory_csv(result, n):
-    cols = ["t"]
-    N = result.states.shape[1]
-    for i in range(1, N + 1):
-        cols.extend(f"x_{i}[{k}]" for k in range(1, n + 1))
-    cols.append("sync_error")
-    lines = [",".join(cols)]
-    flat = result.states.reshape(result.states.shape[0], -1)
-    for row_t, row_x, se in zip(result.t, flat, result.sync_error):
-        vals = [f"{row_t:.10g}"] + [f"{v:.10g}" for v in row_x] + [f"{se:.10g}"]
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n"
+def _trajectory_csv(t, states, sync):
+    """Trajectory CSV rows t, x_1[1..n], ..., x_N[1..n], sync_error for
+    a block of steps, every value formatted as %.10g."""
+    block = np.column_stack([t, states.reshape(len(t), -1), sync])
+    row = ",".join(["%.10g"] * block.shape[1]) + "\n"
+    return row * len(block) % tuple(block.ravel().tolist())
+
+
+def _write_trajectory(cfg, path):
+    """Stream one run into a trajectory CSV block by block and return its
+    sync error; a run that fails leaves no file."""
+    N, n = cfg.graph.n_agents, cfg.model.n
+    cols = [f"x_{i}[{k}]" for i in range(1, N + 1) for k in range(1, n + 1)]
+    sync = []
+    try:
+        with path.open("w") as fh:
+            fh.write(",".join(["t", *cols, "sync_error"]) + "\n")
+            for i, states in trajectory_blocks(cfg):
+                se = _max_pair_error(states)
+                fh.write(_trajectory_csv(np.arange(i, i + len(se)) * cfg.dt, states, se))
+                sync.append(se)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+    return np.concatenate(sync)
 
 
 def _run_simulations(model, g, kind, rhos, delta, args, out, case_name):
@@ -216,14 +231,11 @@ def _run_simulations(model, g, kind, rhos, delta, args, out, case_name):
             t_final=args.t_final, dt=args.dt, noise=args.noise,
             seed=args.seed, integrator=args.integrator,
         )
-        result = simulate(cfg)
         traj = out / f"trajectory_{case_name}_rho{rho:g}.csv"
-        traj.write_text(_trajectory_csv(result, model.n))
+        rms_sync = rms(_write_trajectory(cfg, traj), cfg.tail_fraction)
         d = "" if real.delta is None else f"{real.delta:.10g}"
-        summary.append(
-            f"{case_name},{rho:g},{d},{args.seed},{result.rms_sync_error:.10g}"
-        )
-        print(f"rho={rho:g}: rms_sync_error={result.rms_sync_error:.6g} -> {traj}")
+        summary.append(f"{case_name},{rho:g},{d},{args.seed},{rms_sync:.10g}")
+        print(f"rho={rho:g}: rms_sync_error={rms_sync:.6g} -> {traj}")
     (out / "summary.csv").write_text("\n".join(summary) + "\n")
     return EXIT_OK
 

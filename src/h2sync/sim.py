@@ -12,6 +12,13 @@ For linear dynamics with held inputs the RK4 step collapses to the
 affine map z+ = M z + K w with M the fourth-order Taylor polynomial of
 expm(A dt); the ZOH step uses the exact exponential.  A single
 simulation is bit-reproducible from (config, seed).
+
+Every path runs that map in one kernel, `_propagate`, which yields the
+states in blocks of at most _BLOCK_BYTES and owns the divergence guard.
+`simulate` collects the blocks; `trajectory_blocks` hands them on, so
+the CLI writes trajectories in O(block + steps) memory; the Monte-Carlo
+helpers reduce each block to tail sums, added step by step so that no
+result depends on where blocks end.
 """
 
 import math
@@ -32,6 +39,7 @@ __all__ = [
     "SimResult",
     "ConsistencyResult",
     "simulate",
+    "trajectory_blocks",
     "rms",
     "monte_carlo_rms",
     "rms_vs_h2_consistency",
@@ -40,6 +48,8 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
+# size cap of one block of stored states and of one pair-error chunk
+_BLOCK_BYTES = 2 << 20
 
 
 @dataclass
@@ -56,8 +66,10 @@ class SimConfig:
     integrator: str = "rk4"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigInvalid(f"dt must be positive, got {self.dt}")
+        if not (0.0 < self.dt < math.inf):
+            raise ConfigInvalid(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.t_final):
+            raise ConfigInvalid(f"t_final must be finite, got {self.t_final}")
         if self.t_final < 100 * self.dt:
             raise ConfigInvalid(
                 f"t_final must be at least 100*dt = {100 * self.dt}, "
@@ -81,6 +93,10 @@ class SimConfig:
                     f"initial_conditions must have shape ({N}, {n}), got {ic.shape}"
                 )
             self.initial_conditions = ic
+
+    @property
+    def steps(self):
+        return int(round(self.t_final / self.dt))
 
 
 @dataclass
@@ -126,16 +142,71 @@ def step_matrices(A, B, dt, integrator):
     return full[:dim, :dim], full[:dim, dim:]
 
 
+def _propagate(M, K, z, steps, dt, rngs=None, keep=None):
+    """Yield (i, block): the leading `keep` rows (default all) of states
+    z_i, ..., z_{i+c-1} of z+ = M z + K w, from z_0 alone as first block.
+
+    z is (dim,) for one run (each step a matrix-vector product) or
+    (dim, s) for s runs as columns.  With `rngs`, one per run, each block
+    draws its w from every generator in turn, scaled by sqrt(1/dt);
+    without, w = 0.  Raises Diverged when a block ends non-finite or with
+    a run's norm above DIVERGENCE_LIMIT."""
+    keep = z.shape[0] if keep is None else keep
+    runs = z.shape[1:]
+    nw = K.shape[1]
+    rows = max(1, _BLOCK_BYTES // (8 * max(keep, nw) * max(1, math.prod(runs))))
+    sd = math.sqrt(1.0 / dt)
+    yield 0, z[None, :keep].copy()
+    k = 0
+    while k < steps:
+        c = min(rows, steps - k)
+        if rngs:
+            draws = [rng.standard_normal((c, nw)) for rng in rngs]
+            W = (np.stack(draws, axis=2) if runs else draws[0]) * sd
+        out = np.empty((c, keep) + runs)
+        for j in range(c):
+            z = M @ z + K @ W[j] if rngs else M @ z
+            out[j] = z[:keep]
+        if not np.isfinite(z).all() or np.linalg.norm(z, axis=0).max() > DIVERGENCE_LIMIT:
+            raise Diverged(
+                f"state norm exceeded {DIVERGENCE_LIMIT:.0e} by t={(k + c) * dt:.3f}"
+            )
+        yield k + 1, out
+        k += c
+
+
+def _start(cfg, seeds):
+    """Step matrices, initial states (dim, len(seeds)) as `simulate`
+    describes them, and one generator per seed."""
+    cl = assemble_stacked(cfg.model, cfg.protocol, cfg.graph)
+    M, K = step_matrices(cl.A_cl, cl.B_cl, cfg.dt, cfg.integrator)
+    Nn = cfg.graph.n_agents * cfg.model.n
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    Z = np.zeros((M.shape[0], len(seeds)))
+    ic = cfg.initial_conditions
+    for col, rng in enumerate(rngs):
+        Z[:Nn, col] = rng.uniform(-1.0, 1.0, size=Nn) if ic is None else ic.reshape(-1)
+    return M, K, Z, rngs
+
+
+def _max_pair_sq(X):
+    """X (T, N, n[, s]) -> per-step max over agent pairs of ||x_i - x_j||^2.
+
+    Pairs i <= j only, since x_j - x_i is exactly -(x_i - x_j); the
+    diagonal makes a non-finite state give NaN, as all N x N pairs do."""
+    T, N = X.shape[:2]
+    I, J = np.triu_indices(N)
+    rows = max(1, _BLOCK_BYTES // (8 * len(I) * math.prod(X.shape[2:])))
+    out = np.empty((T,) + X.shape[3:])
+    for a in range(0, T, rows):
+        D = X[a : a + rows, I] - X[a : a + rows, J]
+        out[a : a + rows] = (D**2).sum(axis=2).max(axis=1)
+    return out
+
+
 def _max_pair_error(states):
     """states (T, N, n) -> per-step max over agent pairs of ||x_i - x_j||."""
-    T, N, n = states.shape
-    out = np.empty(T)
-    chunk = max(1, int(4_000_000 // max(N * N * n, 1)))
-    for s in range(0, T, chunk):
-        X = states[s : s + chunk]
-        D = X[:, :, None, :] - X[:, None, :, :]
-        out[s : s + chunk] = np.sqrt((D**2).sum(axis=3).max(axis=(1, 2)))
-    return out
+    return np.sqrt(_max_pair_sq(states))
 
 
 def rms(signal, tail_fraction):
@@ -151,11 +222,18 @@ def rms(signal, tail_fraction):
     T = sig.shape[0]
     start = T - int(math.ceil(T * tail_fraction))
     tail = sig[start:]
-    if tail.ndim == 1:
-        sq = tail**2
-    else:
-        sq = (tail**2).sum(axis=1)
+    sq = tail**2 if tail.ndim == 1 else (tail**2).sum(axis=1)
     return float(np.sqrt(sq.mean()))
+
+
+def trajectory_blocks(cfg: SimConfig):
+    """The run `simulate` makes, as (i, states) with states (c, N, n) the
+    agent states at steps i, ..., i + c - 1, one block at a time."""
+    M, K, Z, rngs = _start(cfg, [cfg.seed])
+    N, n = cfg.graph.n_agents, cfg.model.n
+    noise = rngs if cfg.noise == "white" else None
+    for i, blk in _propagate(M, K, Z[:, 0], cfg.steps, cfg.dt, noise, keep=N * n):
+        yield i, blk.reshape(-1, N, n)
 
 
 def simulate(cfg: SimConfig) -> SimResult:
@@ -166,65 +244,20 @@ def simulate(cfg: SimConfig) -> SimResult:
     states start at zero.  Raises Diverged when the state norm passes
     1e12 (unstable or misconfigured loop).
     """
-    cl = assemble_stacked(cfg.model, cfg.protocol, cfg.graph)
-    N, n = cfg.graph.n_agents, cfg.model.n
-    nc = cfg.protocol.controller_state_dim
-    dim = N * (n + nc)
-    steps = int(round(cfg.t_final / cfg.dt))
-
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.initial_conditions is None:
-        x0 = rng.uniform(-1.0, 1.0, size=(N, n))
-    else:
-        x0 = cfg.initial_conditions
-    z = np.zeros(dim)
-    z[: N * n] = x0.reshape(-1)
-
-    M, K = step_matrices(cl.A_cl, cl.B_cl, cfg.dt, cfg.integrator)
-    noisy = cfg.noise == "white"
-    sd = math.sqrt(1.0 / cfg.dt)
-
-    states = np.empty((steps + 1, N, n))
-    states[0] = x0
-    chunk = 4096
-    k = 0
-    while k < steps:
-        c = min(chunk, steps - k)
-        if noisy:
-            Wn = rng.standard_normal((c, N * cfg.model.w)) * sd
-            for j in range(c):
-                z = M @ z + K @ Wn[j]
-                states[k + j + 1] = z[: N * n].reshape(N, n)
-        else:
-            for j in range(c):
-                z = M @ z
-                states[k + j + 1] = z[: N * n].reshape(N, n)
-        if not np.isfinite(z).all() or np.linalg.norm(z) > DIVERGENCE_LIMIT:
-            raise Diverged(
-                f"state norm exceeded {DIVERGENCE_LIMIT:.0e} at t="
-                f"{(k + c) * cfg.dt:.3f}"
-            )
-        k += c
-
+    steps = cfg.steps
+    states = np.empty((steps + 1, cfg.graph.n_agents, cfg.model.n))
+    for i, blk in trajectory_blocks(cfg):
+        states[i : i + len(blk)] = blk
     sync = _max_pair_error(states)
-    result = SimResult(
+    run = ("seed", "dt", "t_final", "noise", "integrator", "tail_fraction")
+    return SimResult(
         t=np.arange(steps + 1) * cfg.dt,
         states=states,
         sync_error=sync,
         rms_sync_error=rms(sync, cfg.tail_fraction),
-        metadata={
-            "kind": cfg.protocol.kind,
-            "rho": cfg.protocol.rho,
-            "delta": cfg.protocol.delta,
-            "seed": cfg.seed,
-            "dt": cfg.dt,
-            "t_final": cfg.t_final,
-            "noise": cfg.noise,
-            "integrator": cfg.integrator,
-            "tail_fraction": cfg.tail_fraction,
-        },
+        metadata={"kind": cfg.protocol.kind, "rho": cfg.protocol.rho,
+                  "delta": cfg.protocol.delta, **{k: getattr(cfg, k) for k in run}},
     )
-    return result
 
 
 def monte_carlo_rms(cfg: SimConfig, seeds):
@@ -237,47 +270,20 @@ def monte_carlo_rms(cfg: SimConfig, seeds):
     """
     if cfg.noise != "white":
         raise ConfigInvalid("monte_carlo_rms requires noise='white'")
-    cl = assemble_stacked(cfg.model, cfg.protocol, cfg.graph)
-    N, n, w = cfg.graph.n_agents, cfg.model.n, cfg.model.w
-    nc = cfg.protocol.controller_state_dim
-    dim = N * (n + nc)
-    steps = int(round(cfg.t_final / cfg.dt))
+    M, K, Z, rngs = _start(cfg, seeds)
+    N, n, s = cfg.graph.n_agents, cfg.model.n, len(seeds)
+    steps = cfg.steps
     tail_start = steps - int(math.ceil(steps * cfg.tail_fraction))
-    s = len(seeds)
-
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    Z = np.zeros((dim, s))
-    for col, rng in enumerate(rngs):
-        if cfg.initial_conditions is None:
-            Z[: N * n, col] = rng.uniform(-1.0, 1.0, size=N * n)
-        else:
-            Z[: N * n, col] = cfg.initial_conditions.reshape(-1)
-
-    M, K = step_matrices(cl.A_cl, cl.B_cl, cfg.dt, cfg.integrator)
-    sd = math.sqrt(1.0 / cfg.dt)
     acc_sync = np.zeros(s)
     acc_xbar = np.zeros(s)
-    count = 0
-    chunk = 2048
-    k = 0
-    while k < steps:
-        c = min(chunk, steps - k)
-        Wn = np.stack(
-            [rng.standard_normal((c, N * w)) for rng in rngs], axis=2
-        ) * sd
-        for j in range(c):
-            Z = M @ Z + K @ Wn[j]
-            if k + j + 1 > tail_start:
-                X = Z[: N * n].reshape(N, n, s)
-                xb = X[: N - 1] - X[N - 1]
-                acc_xbar += (xb**2).sum(axis=(0, 1))
-                D = X[:, None] - X[None, :]
-                acc_sync += (D**2).sum(axis=2).max(axis=(0, 1))
-                count += 1
-        if not np.isfinite(Z).all():
-            raise Diverged(f"batched run diverged near t={(k + c) * cfg.dt:.3f}")
-        k += c
-
+    for i, blk in _propagate(M, K, Z, steps, cfg.dt, rngs, keep=N * n):
+        X = blk[max(0, tail_start + 1 - i):].reshape(-1, N, n, s)
+        xb = X[:, : N - 1] - X[:, N - 1 : N]
+        for v in (xb**2).sum(axis=(1, 2)):
+            acc_xbar += v
+        for v in _max_pair_sq(X):
+            acc_sync += v
+    count = steps - tail_start
     return np.sqrt(acc_sync / count), np.sqrt(acc_xbar / count)
 
 
@@ -286,31 +292,16 @@ def white_noise_rms(A, B, C, dt, t_final, seeds, tail_fraction=0.5,
     """Per-seed tail RMS of y = C z for dz = A z + B w under held white
     noise (zero initial state); the sanity kernel behind the H2-as-RMS
     checks.  Seeds run as columns of one batched propagation."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
+    A, B, C = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (A, B, C))
     M, K = step_matrices(A, B, dt, integrator)
     steps = int(round(t_final / dt))
     tail_start = steps - int(math.ceil(steps * tail_fraction))
-    sd = math.sqrt(1.0 / dt)
-    nw = B.shape[1]
-    s = len(seeds)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    Z = np.zeros((A.shape[0], s))
-    acc = np.zeros(s)
-    count = 0
-    chunk = 4096
-    k = 0
-    while k < steps:
-        c = min(chunk, steps - k)
-        Wn = np.stack([rng.standard_normal((c, nw)) for rng in rngs], axis=2) * sd
-        for j in range(c):
-            Z = M @ Z + K @ Wn[j]
-            if k + j + 1 > tail_start:
-                acc += ((C @ Z) ** 2).sum(axis=0)
-                count += 1
-        k += c
-    return np.sqrt(acc / count)
+    acc = np.zeros(len(rngs))
+    for i, blk in _propagate(M, K, np.zeros((A.shape[0], len(rngs))), steps, dt, rngs):
+        for v in ((C @ blk[max(0, tail_start + 1 - i):]) ** 2).sum(axis=1):
+            acc += v
+    return np.sqrt(acc / (steps - tail_start))
 
 
 def rms_vs_h2_consistency(cfg: SimConfig, n_seeds: int) -> ConsistencyResult:
@@ -324,16 +315,11 @@ def rms_vs_h2_consistency(cfg: SimConfig, n_seeds: int) -> ConsistencyResult:
     """
     if cfg.noise != "white":
         raise ConfigInvalid("rms_vs_h2_consistency requires noise='white'")
-    lp = laplacian(cfg.graph)
-    if cfg.protocol.kind == "p1":
-        cl = assemble_p1(cfg.model, cfg.protocol, lp)
-    else:
-        cl = assemble_p2(cfg.model, cfg.protocol, lp)
-    predicted = error_h2(cl)
+    assemble = assemble_p1 if cfg.protocol.kind == "p1" else assemble_p2
+    predicted = error_h2(assemble(cfg.model, cfg.protocol, laplacian(cfg.graph)))
 
     seeds = [cfg.seed + i for i in range(n_seeds)]
     _, rms_xbar = monte_carlo_rms(cfg, seeds)
     empirical = float(np.sqrt(math.fsum(rms_xbar**2) / n_seeds))
-    if predicted == 0.0:
-        return ConsistencyResult(empirical, predicted, None, rms_xbar)
-    return ConsistencyResult(empirical, predicted, empirical / predicted, rms_xbar)
+    ratio = None if predicted == 0.0 else empirical / predicted
+    return ConsistencyResult(empirical, predicted, ratio, rms_xbar)

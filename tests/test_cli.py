@@ -1,10 +1,14 @@
+import numpy as np
 import pytest
 
-from h2sync.cases import case1_graph, triple_integrator
+import h2sync.cli as cli
+import h2sync.sim as sim
+from h2sync.cases import CASE_DELTA, CASE_RHOS, case1_graph, case2_graph, triple_integrator
 from h2sync.cli import main
 from h2sync.conditions import model_to_text
+from h2sync.errors import Diverged
 from h2sync.graph import graph_to_text
-from h2sync.protocol import parse_realization
+from h2sync.protocol import parse_realization, synthesize_p2
 
 
 @pytest.fixture
@@ -156,3 +160,82 @@ class TestReproduce:
         assert code == 0
         traj = (out / "trajectory_case2_rho4.csv").read_text().splitlines()
         assert len(traj[0].split(",")) == 1 + 20 * 3 + 1
+
+
+def fstring_trajectory_csv(t, states, sync):
+    """Reference formatter: one f-string per value, header included."""
+    N, n = states.shape[1:]
+    cols = ["t"]
+    for i in range(1, N + 1):
+        cols.extend(f"x_{i}[{k}]" for k in range(1, n + 1))
+    cols.append("sync_error")
+    lines = [",".join(cols)]
+    flat = states.reshape(states.shape[0], -1)
+    for row_t, row_x, se in zip(t, flat, sync):
+        vals = [f"{row_t:.10g}"] + [f"{v:.10g}" for v in row_x] + [f"{se:.10g}"]
+        lines.append(",".join(vals))
+    return "\n".join(lines) + "\n"
+
+
+class TestTrajectoryFormat:
+    @pytest.mark.parametrize("N", [2, 20])
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_matches_fstring_formatter(self, N, n):
+        rng = np.random.default_rng(N * 10 + n)
+        T = 40
+        states = rng.standard_normal((T, N, n)) * 10.0 ** rng.integers(-320, 300, (T, N, n))
+        special = [-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan]
+        for value in special:
+            states.reshape(-1)[rng.choice(states.size, size=5, replace=False)] = value
+        t = np.arange(T) * 1e-3
+        sync = np.abs(rng.standard_normal(T))
+        sync[:len(special)] = special
+        expect = fstring_trajectory_csv(t, states, sync)
+        assert expect.split("\n", 1)[1] == cli._trajectory_csv(t, states, sync)
+
+
+class TestReproduceOutputs:
+    """Streamed reproduce files equal the reference formatter applied to
+    simulate() with the same configuration, over many blocks."""
+
+    @pytest.mark.parametrize("which,graph", [(1, case1_graph), (2, case2_graph)])
+    def test_files_match_simulate(self, which, graph, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sim, "_BLOCK_BYTES", 4096)
+        out = tmp_path / f"case{which}"
+        t_final, dt, seed = 0.3, 1e-3, 12
+        code = main([f"reproduce-case{which}", "--noise", "white", "--seed", str(seed),
+                     "--t-final", str(t_final), "--dt", str(dt), "--out", str(out)])
+        assert code == 0
+        model = triple_integrator()
+        summary = ["case,rho,delta,seed,rms_sync_error"]
+        for rho in CASE_RHOS:
+            real = synthesize_p2(model, rho, delta_hint=CASE_DELTA)
+            cfg = sim.SimConfig(model=model, graph=graph(), protocol=real, t_final=t_final,
+                                dt=dt, noise="white", seed=seed)
+            assert cfg.steps + 1 > 2 * 4096 // (8 * cfg.graph.n_agents * model.n)
+            res = sim.simulate(cfg)
+            text = (out / f"trajectory_case{which}_rho{rho:g}.csv").read_text()
+            assert text == fstring_trajectory_csv(res.t, res.states, res.sync_error)
+            summary.append(f"case{which},{rho:g},{real.delta:.10g},{seed},"
+                           f"{res.rms_sync_error:.10g}")
+        assert (out / "summary.csv").read_text() == "\n".join(summary) + "\n"
+
+    def test_failed_run_leaves_no_trajectory(self, tmp_path, monkeypatch):
+        def diverging(cfg):
+            yield 0, np.zeros((1, cfg.graph.n_agents, cfg.model.n))
+            raise Diverged("state norm exceeded 1e+12 by t=0.100")
+
+        monkeypatch.setattr(cli, "trajectory_blocks", diverging)
+        out = tmp_path / "case1"
+        assert main(["reproduce-case1", "--t-final", "1.0", "--dt", "0.01",
+                     "--out", str(out)]) == 3
+        assert not list(out.glob("trajectory_*.csv"))
+
+
+class TestNonFiniteTime:
+    @pytest.mark.parametrize("flag", ["--dt", "--t-final"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_exit_2(self, flag, value, tmp_path, capsys):
+        code = main(["reproduce-case1", flag, value, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "input error" in capsys.readouterr().err

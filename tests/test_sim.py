@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from h2sync.cases import case1_graph, triple_integrator
+import h2sync.sim as sim
+from h2sync.cases import case1_graph, case2_graph, triple_integrator
 from h2sync.closedloop import assemble_p2, assemble_stacked
 from h2sync.conditions import AgentModel
 from h2sync.errors import ConfigInvalid, Diverged
@@ -11,6 +14,7 @@ from h2sync.linalg import spectral_abscissa
 from h2sync.protocol import ProtocolRealization, synthesize_p1, synthesize_p2
 from h2sync.sim import (
     SimConfig,
+    _max_pair_error,
     monte_carlo_rms,
     rms,
     rms_vs_h2_consistency,
@@ -70,6 +74,12 @@ class TestConfigValidation:
     def test_bad_ic_shape(self):
         with pytest.raises(ConfigInvalid):
             case1_p2_config(initial_conditions=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("field", ["dt", "t_final"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time(self, field, value):
+        with pytest.raises(ConfigInvalid):
+            case1_p2_config(**{field: value})
 
 
 class TestDeterminism:
@@ -219,3 +229,164 @@ class TestRmsVsH2:
     def test_requires_white_noise(self):
         with pytest.raises(ConfigInvalid):
             rms_vs_h2_consistency(case1_p2_config(), 2)
+
+
+def dense_max_pair_error(states):
+    """Reference: the full N x N broadcast of every pair difference."""
+    D = states[:, :, None, :] - states[:, None, :, :]
+    return np.sqrt((D**2).sum(axis=3).max(axis=(1, 2)))
+
+
+def seeded_states(T, N, n, seed):
+    """Random states with -0.0, subnormal, huge, inf and nan entries."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((T, N, n)) * 10.0 ** rng.integers(-5, 5, (T, N, n))
+    special = [-0.0, 5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan]
+    for value in special:
+        X.reshape(-1)[rng.choice(X.size, size=max(1, X.size // 200), replace=False)] = value
+    return X
+
+
+class TestPairError:
+    @pytest.mark.parametrize("N", [2, 20])
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_matches_dense_broadcast(self, N, n, monkeypatch):
+        X = seeded_states(300, N, n, seed=N * 100 + n)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expect = dense_max_pair_error(X)
+            assert np.isnan(expect).any() and np.isinf(expect).any()
+            assert np.array_equal(_max_pair_error(X), expect, equal_nan=True)
+            # chunk boundaries inside the array
+            monkeypatch.setattr(sim, "_BLOCK_BYTES", 8 * N * N * n * 7)
+            assert np.array_equal(_max_pair_error(X), expect, equal_nan=True)
+
+    def test_finite_rows_exact(self):
+        X = np.random.default_rng(1).standard_normal((50, 20, 9))
+        assert np.array_equal(_max_pair_error(X), dense_max_pair_error(X))
+
+
+def stacked_setup(cfg):
+    cl = assemble_stacked(cfg.model, cfg.protocol, cfg.graph)
+    return step_matrices(cl.A_cl, cl.B_cl, cfg.dt, cfg.integrator)
+
+
+def initial_state(cfg, rng, dim):
+    N, n = cfg.graph.n_agents, cfg.model.n
+    z = np.zeros(dim)
+    z[: N * n] = rng.uniform(-1.0, 1.0, size=N * n)
+    return z
+
+
+class TestKernelBitExact:
+    """The block kernel against plain per-step loops, with blocks small
+    enough that the step count is not a multiple of the block length."""
+
+    @pytest.fixture(params=[None, 7 * 9 * 8], ids=["default-block", "7-row-block"])
+    def block_bytes(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(sim, "_BLOCK_BYTES", request.param)
+
+    @pytest.mark.parametrize("integrator", ["rk4", "zoh"])
+    @pytest.mark.parametrize("noise", ["off", "white"])
+    def test_simulate_matches_step_loop(self, integrator, noise, block_bytes):
+        cfg = case1_p2_config(t_final=1.0, dt=1e-2, seed=4, noise=noise,
+                              integrator=integrator)
+        M, K = stacked_setup(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        z = initial_state(cfg, rng, M.shape[0])
+        steps = 100
+        W = rng.standard_normal((steps, K.shape[1])) * math.sqrt(1 / cfg.dt)
+        expect = [z[:9].copy()]
+        for k in range(steps):
+            z = M @ z + K @ W[k] if noise == "white" else M @ z
+            expect.append(z[:9].copy())
+        expect = np.array(expect).reshape(-1, 3, 3)
+        res = simulate(cfg)
+        assert np.array_equal(res.states, expect)
+        assert np.array_equal(res.sync_error, dense_max_pair_error(expect))
+
+    @pytest.mark.parametrize("seeds", [[3], [3, 4, 5]])
+    def test_monte_carlo_matches_step_loop(self, seeds, block_bytes):
+        cfg = case1_p2_config(t_final=1.01, dt=1e-2, noise="white")
+        M, K = stacked_setup(cfg)
+        N, n, s = 3, 3, len(seeds)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        Z = np.stack([initial_state(cfg, rng, M.shape[0]) for rng in rngs], axis=1)
+        steps = 101
+        Wn = np.stack([rng.standard_normal((steps, N)) for rng in rngs], axis=2)
+        Wn = Wn * math.sqrt(1 / cfg.dt)
+        acc_sync, acc_xbar = np.zeros(s), np.zeros(s)
+        tail_start = steps - math.ceil(steps * cfg.tail_fraction)
+        for k in range(steps):
+            Z = M @ Z + K @ Wn[k]
+            if k + 1 > tail_start:
+                X = Z[: N * n].reshape(N, n, s)
+                acc_xbar += ((X[: N - 1] - X[N - 1]) ** 2).sum(axis=(0, 1))
+                D = X[:, None] - X[None, :]
+                acc_sync += (D**2).sum(axis=2).max(axis=(0, 1))
+        count = steps - tail_start
+        got_sync, got_xbar = monte_carlo_rms(cfg, seeds)
+        assert np.array_equal(got_sync, np.sqrt(acc_sync / count))
+        assert np.array_equal(got_xbar, np.sqrt(acc_xbar / count))
+
+    @pytest.mark.parametrize("system", ["scalar", "three-state"])
+    @pytest.mark.parametrize("seeds", [[2], [2, 9, 11]])
+    def test_white_noise_rms_matches_step_loop(self, system, seeds, block_bytes):
+        if system == "scalar":
+            A, B, C = [[-1.0]], [[1.0]], [[1.0]]
+        else:
+            A = [[-1.0, 2.0, 0.0], [0.0, -3.0, 1.0], [0.0, 0.0, -0.5]]
+            B = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+            C = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        A, B, C = (np.array(X, dtype=float) for X in (A, B, C))
+        dt, steps = 1e-2, 157
+        M, K = step_matrices(A, B, dt, "rk4")
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        Wn = np.stack([rng.standard_normal((steps, B.shape[1])) for rng in rngs], axis=2)
+        Wn = Wn * math.sqrt(1 / dt)
+        Z = np.zeros((A.shape[0], len(seeds)))
+        acc = np.zeros(len(seeds))
+        tail_start = steps - math.ceil(steps * 0.5)
+        for k in range(steps):
+            Z = M @ Z + K @ Wn[k]
+            if k + 1 > tail_start:
+                acc += ((C @ Z) ** 2).sum(axis=0)
+        got = white_noise_rms(A, B, C, dt, steps * dt, seeds)
+        assert np.array_equal(got, np.sqrt(acc / (steps - tail_start)))
+
+
+class TestDivergenceGuard:
+    """Every propagation path raises Diverged once a run's state norm
+    passes DIVERGENCE_LIMIT, also while it is still finite."""
+
+    def unstable_config(self, **kw):
+        bad = ProtocolRealization(kind="p1", rho=1.0, P=-np.eye(1))
+        m = AgentModel.full_state([[0.0]], [[1.0]], [[1.0]])
+        return SimConfig(model=m, graph=CommGraph(np.array([[0.0, 0], [1, 0]])),
+                         protocol=bad, t_final=80.0, dt=1e-2,
+                         initial_conditions=np.array([[1.0], [-1.0]]), **kw)
+
+    def test_simulate(self):
+        with pytest.raises(Diverged):
+            simulate(self.unstable_config(noise="white"))
+
+    def test_monte_carlo_rms(self):
+        with pytest.raises(Diverged):
+            monte_carlo_rms(self.unstable_config(noise="white"), [0, 1])
+
+    def test_white_noise_rms(self):
+        with pytest.raises(Diverged):
+            white_noise_rms(5.0, 1.0, 1.0, 1e-3, 20.0, [0])
+
+
+class TestTrajectoryBlocks:
+    def test_blocks_cover_the_run(self, monkeypatch):
+        monkeypatch.setattr(sim, "_BLOCK_BYTES", 20 * 60 * 8)
+        real = synthesize_p2(triple_integrator(), 6.0, delta_hint=0.0004)
+        cfg = SimConfig(model=triple_integrator(), graph=case2_graph(), protocol=real,
+                        t_final=0.25, dt=1e-3, noise="white", seed=8)
+        blocks = list(sim.trajectory_blocks(cfg))
+        assert len(blocks) > 2
+        assert [i for i, _ in blocks] == [0, *range(1, 251, 20)]
+        states = np.concatenate([b for _, b in blocks])
+        assert np.array_equal(states, simulate(cfg).states)
