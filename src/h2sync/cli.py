@@ -2,7 +2,8 @@
 
 Subcommands: check, synth, analyze, simulate, reproduce-case1,
 reproduce-case2.  Exit codes: 0 success, 1 solvability failure,
-2 input error, 3 numerical failure.
+2 input error (including unreadable files), 3 numerical failure or any
+other error.
 """
 
 import argparse
@@ -16,13 +17,8 @@ from .closedloop import probe_to_csv, rho_scaling_probe
 from .conditions import full_report, parse_model
 from .errors import (
     ConfigInvalid,
-    DeltaSearchExhausted,
-    Diverged,
     DimensionMismatch,
     H2SyncError,
-    NoStabilizingSolution,
-    NotHurwitz,
-    NotPositiveDefinite,
     ParseError,
     PreconditionFailed,
     RhoOutOfRange,
@@ -36,15 +32,8 @@ EXIT_SOLVABILITY = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-_INPUT_ERRORS = (ParseError, ConfigInvalid, DimensionMismatch, FileNotFoundError)
+_INPUT_ERRORS = (ParseError, ConfigInvalid, DimensionMismatch, OSError)
 _SOLVABILITY_ERRORS = (PreconditionFailed, RhoOutOfRange)
-_NUMERICAL_ERRORS = (
-    NoStabilizingSolution,
-    NotPositiveDefinite,
-    NotHurwitz,
-    DeltaSearchExhausted,
-    Diverged,
-)
 
 
 def _rho_list(text):
@@ -120,8 +109,11 @@ def build_parser():
     return ap
 
 
-def _load_model(args, coupling_kind=None):
-    return parse_model(Path(args.model).read_text(), coupling_kind=coupling_kind)
+def _load_model(args):
+    """The model file, coupled as --protocol says: p1 full-state, p2
+    partial-state, none inferred from C."""
+    kind = {"p1": "full-state", "p2": "partial-state"}.get(args.protocol)
+    return parse_model(Path(args.model).read_text(), coupling_kind=kind)
 
 
 def _load_graph(args):
@@ -141,19 +133,13 @@ def _write_config(out, args):
 
 
 def cmd_check(args):
-    kind = {"p1": "full-state", "p2": "partial-state", None: None}[args.protocol]
-    model = _load_model(args, coupling_kind=kind)
-    g = _load_graph(args)
-    report = full_report(model, g)
+    report = full_report(_load_model(args), _load_graph(args))
     text = report.to_text()
     sys.stdout.write(text)
     out = _outdir(args)
     _write_config(out, args)
     (out / "report.txt").write_text(text)
-    if not report.overall:
-        failed = ", ".join(letter for letter, _ in report.failed_conditions())
-        print(f"solvability FAILED: condition(s) {failed}", file=sys.stderr)
-        return EXIT_SOLVABILITY
+    report.require()
     return EXIT_OK
 
 
@@ -164,8 +150,7 @@ def _synthesize(model, kind, rho, delta):
 
 
 def cmd_synth(args):
-    kind = "full-state" if args.protocol == "p1" else None
-    model = _load_model(args, coupling_kind=kind)
+    model = _load_model(args)
     out = _outdir(args)
     _write_config(out, args)
     for rho in args.rho:
@@ -178,14 +163,8 @@ def cmd_synth(args):
 
 
 def cmd_analyze(args):
-    kind = "full-state" if args.protocol == "p1" else None
-    model = _load_model(args, coupling_kind=kind)
-    g = _load_graph(args)
-    report = full_report(model, g)
-    if not report.overall:
-        failed = ", ".join(letter for letter, _ in report.failed_conditions())
-        print(f"refusing to analyze: condition(s) {failed} violated", file=sys.stderr)
-        return EXIT_SOLVABILITY
+    model, g = _load_model(args), _load_graph(args)
+    full_report(model, g).require()
     rows = rho_scaling_probe(model, g, args.protocol, args.rho, delta=args.delta)
     csv = probe_to_csv(rows)
     out = _outdir(args)
@@ -241,14 +220,8 @@ def _run_simulations(model, g, kind, rhos, delta, args, out, case_name):
 
 
 def cmd_simulate(args):
-    kind = "full-state" if args.protocol == "p1" else None
-    model = _load_model(args, coupling_kind=kind)
-    g = _load_graph(args)
-    report = full_report(model, g)
-    if not report.overall:
-        failed = ", ".join(letter for letter, _ in report.failed_conditions())
-        print(f"refusing to simulate: condition(s) {failed} violated", file=sys.stderr)
-        return EXIT_SOLVABILITY
+    model, g = _load_model(args), _load_graph(args)
+    full_report(model, g).require()
     out = _outdir(args)
     _write_config(out, args)
     return _run_simulations(model, g, args.protocol, args.rho, args.delta,
@@ -282,11 +255,11 @@ def main(argv=None):
     except _SOLVABILITY_ERRORS as exc:
         print(f"solvability error: {exc}", file=sys.stderr)
         return EXIT_SOLVABILITY
-    except _NUMERICAL_ERRORS as exc:
+    except H2SyncError as exc:  # every other toolkit error is numerical
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except H2SyncError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a defect; exit 1 stays for solvability
+        print(f"unexpected error: {exc!r}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

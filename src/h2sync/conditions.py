@@ -10,11 +10,17 @@ and left invertible, (d) spanning tree, (e) im E contained in im B.
 """
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DimensionMismatch, ParseError, RankDeficientEverywhere
+from .errors import (
+    DimensionMismatch,
+    ParseError,
+    PreconditionFailed,
+    RankDeficientEverywhere,
+)
 from .graph import CommGraph, has_spanning_tree
 from .linalg import spectral_abscissa
 from .tolerances import DEFAULT, Tolerances
@@ -105,7 +111,7 @@ class SolvabilityReport:
     stabilizable: bool
     detectable: bool
     clhp_eigs: bool
-    spanning_tree: bool
+    spanning_tree: Optional[bool]  # None (condition left out) without a graph
     disturbance_matched: bool
     disturbance_gain: np.ndarray  # X with B X ~= E (least squares)
     minphase_leftinv: bool
@@ -141,7 +147,8 @@ class SolvabilityReport:
                 ok = self.stabilizable and self.detectable
             else:
                 ok = getattr(self, name)
-            out.append((letter, name, bool(ok)))
+            if ok is not None:
+                out.append((letter, name, bool(ok)))
         return out
 
     def failed_conditions(self):
@@ -150,6 +157,16 @@ class SolvabilityReport:
             for letter, name, ok in self.condition_values()
             if not ok
         ]
+
+    def require(self):
+        """Raise PreconditionFailed naming every failed condition, with
+        `condition` set to the first failed letter."""
+        failed = self.failed_conditions()
+        if failed:
+            names = ", ".join(f"{letter} {name}" for letter, name in failed)
+            raise PreconditionFailed(
+                f"condition(s) violated: {names}", condition=failed[0][0]
+            )
 
     def to_text(self):
         """Flat key/value serialization used by the CLI `check` command."""
@@ -316,12 +333,15 @@ def check_minphase_leftinv(A, E, C, tols: Tolerances = DEFAULT):
     return bool(minphase), zeros
 
 
-def full_report(model: AgentModel, g: CommGraph, tols: Tolerances = DEFAULT):
-    """Aggregate every applicable solvability check into one report."""
+def full_report(
+    model: AgentModel, g: Optional[CommGraph] = None, tols: Tolerances = DEFAULT
+):
+    """Aggregate every applicable solvability check into one report; the
+    model-only conditions when no graph is given."""
     stab = check_stabilizable(model.A, model.B, tols)
     detect = check_detectable(model.A, model.C, tols)
     clhp = check_clhp(model.A, tols)
-    tree, _ = has_spanning_tree(g)
+    tree = None if g is None else has_spanning_tree(g)[0]
     matched, X = check_disturbance_match(model.B, model.E, tols)
     if model.coupling_kind == "partial-state":
         minphase, zeros = check_minphase_leftinv(model.A, model.E, model.C, tols)

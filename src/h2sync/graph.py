@@ -144,23 +144,24 @@ def parse_graph(text: str) -> CommGraph:
     """Parse the graph text format.
 
     First non-comment line: N.  Then either N rows of N weights (dense)
-    or lines `i j w` meaning a_ij = w with 1-based i, j.
+    or lines `i j w` meaning a_ij = w with 1-based i, j; an edge line
+    names each pair once, with a nonzero weight.
     """
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
+    numbered = [
+        (k, ln.strip())
+        for k, ln in enumerate(text.splitlines(), start=1)
         if ln.strip() and not ln.lstrip().startswith("#")
     ]
-    if not lines:
+    if not numbered:
         raise ParseError("empty graph file")
+    (first_line, head), *body = numbered
     try:
-        N = int(lines[0])
+        N = int(head)
     except ValueError:
-        raise ParseError(f"expected agent count, got {lines[0]!r}", line=1)
+        raise ParseError(f"expected agent count, got {head!r}", line=first_line)
     if N < 2:
         raise ParseError(f"need at least 2 agents, got {N}")
-    body = lines[1:]
-    rows = [ln.split() for ln in body]
+    rows = [ln.split() for _, ln in body]
     if len(body) == N and all(len(r) == N for r in rows):
         # dense form; an N=3 edge list also matches this shape, so fall
         # back to edge parsing when the dense read is not a valid graph
@@ -171,17 +172,21 @@ def parse_graph(text: str) -> CommGraph:
             if N != 3:
                 raise ParseError(f"bad dense adjacency: {exc}")
     A = np.zeros((N, N))
-    for k, r in enumerate(rows):
+    for (line, _), r in zip(body, rows):
         if len(r) != 3:
             raise ParseError(
-                f"expected `i j w` edge line, got {' '.join(r)!r}", line=k + 2
+                f"expected `i j w` edge line, got {' '.join(r)!r}", line=line
             )
         try:
             i, j, w = int(r[0]), int(r[1]), float(r[2])
         except ValueError as exc:
-            raise ParseError(f"bad edge line: {exc}", line=k + 2)
+            raise ParseError(f"bad edge line: {exc}", line=line)
         if not (1 <= i <= N and 1 <= j <= N):
-            raise ParseError(f"edge indices out of range 1..{N}", line=k + 2)
+            raise ParseError(f"edge indices out of range 1..{N}", line=line)
+        if w == 0.0:
+            raise ParseError(f"edge {i} {j} has weight 0; omit the line", line=line)
+        if A[i - 1, j - 1] != 0.0:  # set by an earlier line: weights are nonzero
+            raise ParseError(f"duplicate edge {i} {j}", line=line)
         A[i - 1, j - 1] = w
     return CommGraph(A)
 

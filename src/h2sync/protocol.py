@@ -16,19 +16,12 @@ where Q > 0 solves the low-gain filter Riccati equation
     Q A^T + A Q + E E^T - delta^-2 Q C^T C Q + rho^2 Q^2 = 0.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .conditions import (
-    AgentModel,
-    check_clhp,
-    check_detectable,
-    check_disturbance_match,
-    check_minphase_leftinv,
-    check_stabilizable,
-)
+from .conditions import AgentModel, full_report
 from .errors import (
     DeltaSearchExhausted,
     NoStabilizingSolution,
@@ -74,14 +67,6 @@ class ProtocolRealization:
         return self.n if self.kind == "p1" else 2 * self.n
 
 
-def _require(ok, letter, description):
-    if not ok:
-        raise PreconditionFailed(
-            f"solvability condition {letter} violated: {description}",
-            condition=letter,
-        )
-
-
 def _check_rho(rho):
     if not np.isfinite(rho) or rho < 1.0:
         raise RhoOutOfRange(f"rho must be >= 1, got {rho}")
@@ -94,14 +79,7 @@ def synthesize_p1(model: AgentModel, rho: float, tols: Tolerances = DEFAULT):
         raise PreconditionFailed(
             "Protocol 1 requires full-state coupling (C = I)", condition="(coupling)"
         )
-    _require(check_stabilizable(model.A, model.B, tols), "(a)", "(A,B) stabilizable")
-    _require(
-        check_clhp(model.A, tols),
-        "(b)",
-        "all eigenvalues of A in the closed left half plane",
-    )
-    matched, _ = check_disturbance_match(model.B, model.E, tols)
-    _require(matched, "(d)", "im E contained in im B")
+    full_report(model, tols=tols).require()
     care = solve_care_standard(model.A, model.B, tols)
     return ProtocolRealization(kind="p1", rho=float(rho), P=care.solution)
 
@@ -126,17 +104,8 @@ def synthesize_p2(
     """Protocol 2 synthesis; searches delta by geometric halving from 1
     unless delta_hint is given."""
     _check_rho(rho)
-    _require(check_stabilizable(model.A, model.B, tols), "(a)", "(A,B) stabilizable")
-    _require(check_detectable(model.A, model.C, tols), "(a)", "(C,A) detectable")
-    _require(
-        check_clhp(model.A, tols),
-        "(b)",
-        "all eigenvalues of A in the closed left half plane",
-    )
-    minphase, _ = check_minphase_leftinv(model.A, model.E, model.C, tols)
-    _require(minphase, "(c)", "(A,E,C,0) minimum phase and left invertible")
-    matched, _ = check_disturbance_match(model.B, model.E, tols)
-    _require(matched, "(e)", "im E contained in im B")
+    # the partial-state conditions apply to C = I models as well
+    full_report(replace(model, coupling_kind="partial-state"), tols=tols).require()
 
     care = solve_care_standard(model.A, model.B, tols)
 
@@ -219,7 +188,19 @@ def realization_to_text(real: ProtocolRealization) -> str:
     return "\n".join(out) + "\n"
 
 
+def _check_block(label, M, n):
+    if M.shape != (n, n) or not np.all(np.isfinite(M)):
+        raise ParseError(f"{label} must be a finite {n} x {n} matrix, got {M.shape}")
+    asym = np.linalg.norm(M - M.T)
+    if asym > DEFAULT.symmetry * max(1.0, np.linalg.norm(M)):
+        raise ParseError(f"{label} is not symmetric (Frobenius asymmetry {asym:.3g})")
+
+
 def parse_realization(text: str) -> ProtocolRealization:
+    """Parse the `realization_to_text` format.  Raises ParseError for
+    data no synthesis returns: rho below 1, a p2 delta that is not
+    positive, a P or Q_rho that is not a symmetric n x n matrix, or
+    lines after the last block."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     try:
         fields = {}
@@ -252,4 +233,13 @@ def parse_realization(text: str) -> ProtocolRealization:
         raise ParseError(f"malformed realization file: {exc}")
     if kind not in ("p1", "p2"):
         raise ParseError(f"unknown protocol kind {kind!r}")
+    if i < len(lines):
+        raise ParseError(f"unexpected line after the last block: {lines[i]!r}")
+    if not (1.0 <= rho < np.inf):
+        raise ParseError(f"rho must be finite and >= 1, got {rho}")
+    if kind == "p2" and not (0.0 < delta < np.inf):
+        raise ParseError(f"delta must be finite and > 0, got {delta}")
+    _check_block("P", P, n)
+    if kind == "p2":
+        _check_block("Q_rho", Q, n)
     return ProtocolRealization(kind=kind, rho=rho, P=P, delta=delta, Q_rho=Q)

@@ -52,6 +52,20 @@ DIVERGENCE_LIMIT = 1e12
 _BLOCK_BYTES = 2 << 20
 
 
+def _check_time_grid(dt, t_final, tail_fraction):
+    """Reject a step, horizon or tail window no run can use."""
+    if not (0.0 < dt < math.inf):
+        raise ConfigInvalid(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(t_final):
+        raise ConfigInvalid(f"t_final must be finite, got {t_final}")
+    if t_final < 100 * dt:
+        raise ConfigInvalid(
+            f"t_final must be at least 100*dt = {100 * dt}, got {t_final}"
+        )
+    if not (0.0 < tail_fraction < 1.0):
+        raise ConfigInvalid(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
+
+
 @dataclass
 class SimConfig:
     model: AgentModel
@@ -66,19 +80,7 @@ class SimConfig:
     integrator: str = "rk4"
 
     def __post_init__(self):
-        if not (0.0 < self.dt < math.inf):
-            raise ConfigInvalid(f"dt must be positive and finite, got {self.dt}")
-        if not math.isfinite(self.t_final):
-            raise ConfigInvalid(f"t_final must be finite, got {self.t_final}")
-        if self.t_final < 100 * self.dt:
-            raise ConfigInvalid(
-                f"t_final must be at least 100*dt = {100 * self.dt}, "
-                f"got {self.t_final}"
-            )
-        if not (0.0 < self.tail_fraction < 1.0):
-            raise ConfigInvalid(
-                f"tail_fraction must lie in (0, 1), got {self.tail_fraction}"
-            )
+        _check_time_grid(self.dt, self.t_final, self.tail_fraction)
         if self.noise not in ("off", "white"):
             raise ConfigInvalid(f"noise must be 'off' or 'white', got {self.noise!r}")
         if self.integrator not in ("rk4", "zoh"):
@@ -292,6 +294,7 @@ def white_noise_rms(A, B, C, dt, t_final, seeds, tail_fraction=0.5,
     """Per-seed tail RMS of y = C z for dz = A z + B w under held white
     noise (zero initial state); the sanity kernel behind the H2-as-RMS
     checks.  Seeds run as columns of one batched propagation."""
+    _check_time_grid(dt, t_final, tail_fraction)
     A, B, C = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (A, B, C))
     M, K = step_matrices(A, B, dt, integrator)
     steps = int(round(t_final / dt))

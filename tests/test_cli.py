@@ -3,7 +3,14 @@ import pytest
 
 import h2sync.cli as cli
 import h2sync.sim as sim
-from h2sync.cases import CASE_DELTA, CASE_RHOS, case1_graph, case2_graph, triple_integrator
+from h2sync.cases import (
+    CASE_DELTA,
+    CASE_RHOS,
+    case1_graph,
+    case2_graph,
+    triple_integrator,
+    triple_integrator_full_state,
+)
 from h2sync.cli import main
 from h2sync.conditions import model_to_text
 from h2sync.errors import Diverged
@@ -239,3 +246,45 @@ class TestNonFiniteTime:
         code = main(["reproduce-case1", flag, value, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "input error" in capsys.readouterr().err
+
+
+class TestSolvabilityGate:
+    @pytest.mark.parametrize("command", ["check", "analyze", "simulate"])
+    def test_p2_letters_on_full_state_model(self, command, tmp_path, capsys):
+        # C = I model, graph without a spanning tree: under --protocol p2
+        # the partial-state letters apply, so the tree condition is (d)
+        model = tmp_path / "m.txt"
+        model.write_text(model_to_text(triple_integrator_full_state()))
+        graph = tmp_path / "g.txt"
+        graph.write_text("4\n2 1 1\n4 3 1\n")
+        argv = [command, "--model", str(model), "--graph", str(graph),
+                "--protocol", "p2", "--out", str(tmp_path / "out")]
+        if command != "check":
+            argv += ["--rho", "4"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solvability error:")
+        assert "(d) spanning_tree" in err and "(c)" not in err
+
+
+class TestBoundary:
+    def test_directory_as_model_exits_2(self, tmp_path, ref_files, capsys):
+        _, graph, _ = ref_files
+        code = main(["check", "--model", str(tmp_path), "--graph", graph,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "Traceback" not in err
+
+    def test_unexpected_exception_exits_3(self, ref_files, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("first\nsecond")
+
+        monkeypatch.setattr(cli, "full_report", broken)
+        model, graph, tmp = ref_files
+        code = main(["check", "--model", model, "--graph", graph,
+                     "--out", str(tmp / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("unexpected error: RuntimeError")
+        assert err.count("\n") == 1

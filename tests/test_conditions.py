@@ -17,6 +17,7 @@ from h2sync.conditions import (
 from h2sync.errors import (
     DimensionMismatch,
     ParseError,
+    PreconditionFailed,
     RankDeficientEverywhere,
 )
 from h2sync.graph import CommGraph
@@ -189,6 +190,26 @@ class TestFullReport:
             "overall=true",
         ):
             assert key in text
+
+    @pytest.mark.parametrize("full_state", [False, True])
+    def test_without_graph_leaves_out_spanning_tree(self, full_state):
+        m = triple_integrator()
+        if full_state:
+            m = AgentModel.full_state(m.A, m.B, m.E)
+        rep = full_report(m)
+        assert rep.spanning_tree is None
+        assert all(name != "spanning_tree" for _, name, _ in rep.condition_values())
+        assert rep.overall
+        rep.require()
+
+    def test_require_names_every_failed_condition(self):
+        m = AgentModel([[1.0]], [[1.0]], [[1.0]], [[1.0]])
+        rep = full_report(m, CommGraph(np.zeros((3, 3))))
+        with pytest.raises(PreconditionFailed) as exc:
+            rep.require()
+        assert exc.value.condition == "(b)"
+        assert "(b) clhp_eigs" in str(exc.value)
+        assert "(d) spanning_tree" in str(exc.value)
 
 
 class TestRobustness:

@@ -202,8 +202,18 @@ class TestGraphFormat:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "x\n", "3\n1 2\n", "3\n0 5 1\n", "2\n1 1 nope\n", "1\n"],
+        ["", "x\n", "3\n1 2\n", "3\n0 5 1\n", "2\n1 1 nope\n", "1\n",
+         "2\n2 1 1\n2 1 5\n", "2\n2 1 0\n"],
     )
     def test_malformed(self, text):
         with pytest.raises(ParseError):
             parse_graph(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("2\n2 1 1\n2 1 5\n", 3),  # duplicate edge
+        ("# header\n4\n\n2 1 1\n3 2 -0.0\n", 5),  # zero weight; comments count
+    ])
+    def test_edge_line_errors_name_the_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert exc.value.line == line

@@ -125,6 +125,18 @@ class TestSynthesizeP2:
             synthesize_p2(m, 4.0)
         assert exc.value.condition == "(c)"
 
+    @pytest.mark.parametrize("full_state", [False, True])
+    def test_every_failed_condition_named(self, full_state):
+        # unstable A fails (b), E outside im B fails (e); the partial-state
+        # letters apply to a model labelled full-state as well
+        A, B, E = np.diag([1.0, -1.0]), [[1.0], [0.0]], [[0.0], [1.0]]
+        m = AgentModel.full_state(A, B, E) if full_state else AgentModel(A, B, np.eye(2), E)
+        with pytest.raises(PreconditionFailed) as exc:
+            synthesize_p2(m, 4.0)
+        assert exc.value.condition == "(b)"
+        assert "(b) clhp_eigs" in str(exc.value)
+        assert "(e) disturbance_matched" in str(exc.value)
+
     def test_delta_hint_failure_diagnostics(self):
         with pytest.raises(DeltaSearchExhausted) as exc:
             synthesize_p2(triple_integrator(), 4.0, delta_hint=0.5)
@@ -241,3 +253,30 @@ class TestSerialization:
             parse_realization("kind p9\nn 1\nrho 1\nP\n1\n")
         with pytest.raises(ParseError):
             parse_realization("nonsense")
+
+    P1 = "kind p1\nn 2\nrho 2\nP\n2 1\n1 3\n"
+    P2 = "kind p2\nn 1\nrho 2\ndelta 0.5\nP\n1\nQ_rho\n2\n"
+
+    @pytest.mark.parametrize("text", [
+        P1.replace("rho 2", "rho 0.5"),
+        P1.replace("rho 2", "rho inf"),
+        P1.replace("rho 2", "rho nan"),
+        P2.replace("delta 0.5", "delta -1"),
+        P2.replace("delta 0.5", "delta 0"),
+        P2.replace("delta 0.5", "delta inf"),
+        P2.replace("delta 0.5", "delta nan"),
+        P1.replace("1 3", "1.5 3"),  # not symmetric
+        P1.replace("2 1\n", "2 1 0\n").replace("1 3", "1 3 0"),  # 2 x 3
+        P1.replace("1 3", "1 nan"),
+        P2.replace("Q_rho\n2", "Q_rho\n2 1"),
+        P1 + "garbage here\n",
+        P2 + "P\n1\n",
+        "kind p2\nn 1\nrho 0.5\ndelta -1\nP\n1\nQ_rho\n1\ngarbage here\n",
+    ])
+    def test_rejects_data_no_synthesis_returns(self, text):
+        with pytest.raises(ParseError):
+            parse_realization(text)
+
+    @pytest.mark.parametrize("text, n", [(P1, 2), (P2, 1)])
+    def test_valid_samples_parse(self, text, n):
+        assert parse_realization(text).n == n

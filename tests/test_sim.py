@@ -82,6 +82,22 @@ class TestConfigValidation:
             case1_p2_config(**{field: value})
 
 
+    @pytest.mark.parametrize("dt, t_final, tail_fraction", [
+        (math.nan, 1.0, 0.5),
+        (0.0, 1.0, 0.5),
+        (math.inf, 1.0, 0.5),
+        (1e-3, math.inf, 0.5),
+        (1e-3, math.nan, 0.5),
+        (1e-3, 0.0, 0.5),
+        (1e-3, 0.05, 0.5),
+        (1e-3, 1.0, 0.0),
+        (1e-3, 1.0, math.nan),
+    ])
+    def test_white_noise_rms_time_grid(self, dt, t_final, tail_fraction):
+        with pytest.raises(ConfigInvalid):
+            white_noise_rms(-1.0, 1.0, 1.0, dt, t_final, [0], tail_fraction=tail_fraction)
+
+
 class TestDeterminism:
     def test_bit_identical_repeat(self):
         cfg = case1_p2_config(noise="white", seed=42, t_final=2.0)
