@@ -43,8 +43,8 @@ def _rho_list(text):
         raise argparse.ArgumentTypeError(f"bad rho list {text!r}")
     if not rhos:
         raise argparse.ArgumentTypeError("rho list must be nonempty")
-    if any(r < 1.0 for r in rhos):
-        raise argparse.ArgumentTypeError("every rho must be >= 1")
+    if not all(1.0 <= r < np.inf for r in rhos):
+        raise argparse.ArgumentTypeError("every rho must be finite and >= 1")
     return rhos
 
 

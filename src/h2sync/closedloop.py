@@ -2,8 +2,10 @@
 
 Two independent assembly paths are provided on purpose:
 
-* `assemble_p1` / `assemble_p2` build the system in synchronization-
-  error coordinates (the compact Hurwitz form the analysis works on);
+* `assemble_p1` / `assemble_p2` write the system in synchronization-
+  error coordinates (the compact Hurwitz form the analysis works on)
+  once, as `ModeData`, and derive the dense A_cl, B_cl, C_cl from it
+  with `ModeData.dense`;
 * `assemble_stacked` builds the raw network of N plants plus their
   controllers straight from the protocol's canonical (Ac, Bc, Cc, Fc,
   Hc) form and the full Laplacian; `reduce_to_differences` then
@@ -11,7 +13,8 @@ Two independent assembly paths are provided on purpose:
   transform [[Pi], [e_N^T]] (x) I.
 
 The error-coordinate derivation is the bug-prone step, so tests diff
-the two paths against each other.
+the two paths against each other, entry by entry through the transfer
+function as well as through the H2 norm.
 
 `error_h2` analyzes error-form loops per graph mode.  Ordered agent by
 agent, an error-form A_cl is I (x) D - rho Lbar (x) S: one block D of
@@ -21,10 +24,11 @@ Lbar = U T U^H turns this into a block upper-triangular matrix with
 diagonal blocks D - rho t_kk S, one per Laplacian eigenvalue, so the
 Hurwitz test is N-1 small eigenproblems and the Lyapunov equation is
 solved by block back-substitution (Bartels-Stewart at the mode level).
-The assemblers attach that structure as `ModeData`; the dense A_cl and
-the stacked assembly stay the reference paths, and loops without mode
-data (reduced stacked loops, hand-built loops) go through the dense
-Lyapunov solve.
+The dense Lyapunov solve on A_cl and the stacked assembly stay the
+reference paths; loops without mode data (reduced stacked loops,
+hand-built loops) go through the dense solve.  Both paths take their
+Hurwitz-margin and Lyapunov-residual decisions from `linalg`
+(`require_hurwitz`, `require_lyapunov_residual`).
 """
 
 import io
@@ -37,7 +41,7 @@ from scipy.linalg.lapack import zgees as _gees, ztrsyl as _trsyl
 from .conditions import AgentModel
 from .errors import DimensionMismatch, NotHurwitz
 from .graph import CommGraph, LaplacianPair, laplacian
-from .linalg import h2_norm, is_hurwitz, spectral_abscissa
+from .linalg import h2_norm, require_hurwitz, require_lyapunov_residual, spectral_abscissa
 from .protocol import ProtocolRealization, controller_matrices, synthesize_p1, synthesize_p2
 from .tolerances import DEFAULT, Tolerances
 
@@ -56,8 +60,8 @@ __all__ = [
 
 @dataclass
 class ModeData:
-    """An error-form loop in agent-major order, the form the modal H2
-    kernel works on.
+    """An error-form loop in agent-major order: the one definition of
+    the loop, which the modal H2 kernel solves and `dense` lays out.
 
     With z_k the d = b n states of agent k (k < N-1), the loop is
 
@@ -93,6 +97,30 @@ class ModeData:
         """Slice of the states of block i within an agent."""
         return slice(i * self.n, (i + 1) * self.n)
 
+    def dense(self, order):
+        """The loop as dense (A_cl, B_cl, C_cl) in block-major order:
+        block order[0] of every agent, then block order[1], and so on.
+
+        Block (r, c) of A_cl is I (x) D_rc, less rho Lbar (x) I on the
+        coupled block; block r of B_cl is sum_a M[a] (x) E[a]_r; C_cl
+        selects the output block.
+        """
+        m, n = self.L_reduced.shape[0], self.n
+        size = m * n
+        span = [slice(r * size, (r + 1) * size) for r in range(len(order))]
+        A = np.zeros((len(order) * size,) * 2)
+        B = np.zeros((len(order) * size, self.M.shape[2] * self.E.shape[2]))
+        C = np.zeros((size, len(order) * size))
+        for r, i in enumerate(order):
+            for c, j in enumerate(order):
+                A[span[r], span[c]] = np.kron(np.eye(m), self.D[self.block(i), self.block(j)])
+            for M, E in zip(self.M, self.E):
+                B[span[r]] += np.kron(M, E[self.block(i)])
+        e = span[order.index(self.coupled)]
+        A[e, e] -= self.rho * np.kron(self.L_reduced, np.eye(n))
+        C[:, span[order.index(self.output)]] = np.eye(size)
+        return A, B, C
+
 
 @dataclass
 class ClosedLoop:
@@ -102,8 +130,8 @@ class ClosedLoop:
     the design conditions hold) or "stacked-form" (raw network,
     marginally stable along the synchronized motion).  labels describes
     the state blocks.  modes, set by the error-form assemblers, is the
-    same system in the per-agent form of `ModeData`; it must describe
-    the same system as A_cl, B_cl and C_cl.
+    loop in the per-agent form of `ModeData`, from which A_cl, B_cl and
+    C_cl are derived (`ModeData.dense`).
     """
 
     A_cl: np.ndarray
@@ -134,17 +162,8 @@ def assemble_p1(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
         de    = [I (x) A - rho Lbar (x) I] e + (Pi (x) E) w
     """
     _check_dims(model, real, "p1")
-    n, N = model.n, lp.n_agents
-    rho = real.rho
-    I1 = np.eye(N - 1)
+    n, rho = model.n, real.rho
     BBtP = model.B @ model.B.T @ real.P
-    Axx = np.kron(I1, model.A - rho * BBtP)
-    Axe = rho * np.kron(I1, BBtP)
-    Aee = np.kron(I1, model.A) - rho * np.kron(lp.L_reduced, np.eye(n))
-    A_cl = np.block([[Axx, Axe], [np.zeros_like(Axe), Aee]])
-    PiE = np.kron(lp.Pi, model.E)
-    B_cl = np.vstack([PiE, PiE])
-    C_cl = np.hstack([np.eye((N - 1) * n), np.zeros(((N - 1) * n, (N - 1) * n))])
     # per agent (xbar, e)
     modes = ModeData(
         D=np.block([[model.A - rho * BBtP, rho * BBtP],
@@ -152,8 +171,8 @@ def assemble_p1(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
         n=n, coupled=1, output=0, rho=rho, L_reduced=lp.L_reduced,
         M=lp.Pi[None], E=np.vstack([model.E, model.E])[None],
     )
-    return ClosedLoop(A_cl, B_cl, C_cl, N, "error-form", "xbar | e = xbar - chibar",
-                      modes)
+    return ClosedLoop(*modes.dense((0, 1)), lp.n_agents, "error-form",
+                      "xbar | e = xbar - chibar", modes)
 
 
 def assemble_p2(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair):
@@ -166,23 +185,11 @@ def assemble_p2(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
         de    = [I (x) A - rho Lbar (x) I] e + rho ebar + (Pi (x) E) w
     """
     _check_dims(model, real, "p2")
-    n, N = model.n, lp.n_agents
-    rho, delta, Q = real.rho, real.delta, real.Q_rho
-    I1 = np.eye(N - 1)
-    blk = (N - 1) * n
-    Z = np.zeros((blk, blk))
+    n, rho = model.n, real.rho
     BBtP = model.B @ model.B.T @ real.P
-    filt = model.A - (Q @ model.C.T @ model.C) / delta**2
-    A_cl = np.block([
-        [np.kron(I1, model.A - rho * BBtP), Z, rho * np.kron(I1, BBtP)],
-        [Z, np.kron(I1, filt), Z],
-        [Z, rho * np.eye(blk),
-         np.kron(I1, model.A) - rho * np.kron(lp.L_reduced, np.eye(n))],
-    ])
-    PiE = np.kron(lp.Pi, model.E)
-    B_cl = np.vstack([PiE, np.kron(lp.L_reduced @ lp.Pi, model.E), PiE])
-    C_cl = np.hstack([np.eye(blk), Z, Z])
-    # per agent (xbar, e, ebar), the order that makes D block triangular
+    filt = model.A - (real.Q_rho @ model.C.T @ model.C) / real.delta**2
+    # per agent (xbar, e, ebar), the order that makes D block triangular;
+    # the dense form keeps the states (xbar, ebar, e)
     zn, zE = np.zeros((n, n)), np.zeros_like(model.E)
     modes = ModeData(
         D=np.block([[model.A - rho * BBtP, rho * BBtP, zn],
@@ -193,7 +200,7 @@ def assemble_p2(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
         E=np.stack([np.vstack([model.E, model.E, zE]), np.vstack([zE, zE, model.E])]),
     )
     return ClosedLoop(
-        A_cl, B_cl, C_cl, N, "error-form",
+        *modes.dense((0, 2, 1)), lp.n_agents, "error-form",
         "xbar | ebar = (Lbar (x) I) xbar - xtilde | e = xbar - chibar",
         modes,
     )
@@ -274,21 +281,6 @@ def reduce_to_differences(cl: ClosedLoop, model: AgentModel,
     )
 
 
-def _require_hurwitz(spectrum, tols):
-    """error_h2's Hurwitz checks on a loop spectrum: the margin of
-    solve_lyapunov, with error_h2's own message when the loop is not
-    stable at all."""
-    abscissa = spectrum.real.max()
-    if not abscissa < 0.0:
-        raise NotHurwitz(
-            f"closed loop is not Hurwitz (abscissa {abscissa:.3e}); "
-            "stacked-form loops must go through reduce_to_differences first",
-            spectrum,
-        )
-    if not abscissa < -tols.hurwitz_margin:
-        raise NotHurwitz(f"A has spectral abscissa {abscissa:.3e}", spectrum)
-
-
 def _herm(M):
     """Conjugate transpose of each matrix in a stack."""
     return M.conj().transpose(0, 2, 1)
@@ -352,7 +344,7 @@ def _modal_h2(md: ModeData, tols: Tolerances):
     S[e] = 1.0
     Rk = np.triu(Qh @ md.D @ Q) - (rho * T.diagonal())[:, None, None] * np.diag(S)
     spectrum = Rk.diagonal(axis1=1, axis2=2).ravel()
-    _require_hurwitz(spectrum, tols)
+    require_hurwitz(spectrum, tols)
 
     # W_kl = sum_ab (G_a G_b^H)_kl (Q^H E_a)(Q^H E_b)^H with G_a = U^H M_a,
     # kept as m x m weights (Gam) of d x d outer products (outer).  The
@@ -396,15 +388,8 @@ def _modal_h2(md: ModeData, tols: Tolerances):
 
     # largest eigenvalues of the Hermitian Y_kk and R_k^H R_k in one call
     top = np.linalg.eigvalsh(np.concatenate([Ykk, RkH @ Rk]))[:, -1]
-    y_norm, r_norm = top[:m].max(), np.sqrt(top[m:].max())
-    cap = tols.lyapunov_residual * (1.0 + r_norm) * (1.0 + y_norm)
-    res = np.sqrt(res_sq)
-    if not res <= cap:
-        raise NotHurwitz(
-            f"Lyapunov residual {res:.3e} exceeds tolerance {cap:.3e} "
-            "(A is too close to the imaginary axis)",
-            spectrum,
-        )
+    require_lyapunov_residual(np.sqrt(res_sq), np.sqrt(top[m:].max()), top[:m].max(),
+                              spectrum, tols)
     h2sq = np.trace(Ykk[:, out, out], axis1=1, axis2=2).real.sum()
     return float(np.sqrt(max(0.0, h2sq)))
 
@@ -413,13 +398,17 @@ def error_h2(cl: ClosedLoop, tols: Tolerances = DEFAULT):
     """H2 norm of the disturbance-to-xbar map; requires A_cl Hurwitz.
 
     Loops with mode data are solved per graph mode (see `_modal_h2`);
-    others by a dense Lyapunov solve on A_cl.
+    others by a dense Lyapunov solve on A_cl.  Stacked-form loops are
+    only marginally stable and are refused up front.
     """
+    if cl.coordinates == "stacked-form":
+        raise NotHurwitz(
+            "a stacked-form loop is marginally stable along the synchronized "
+            "motion; use reduce_to_differences first"
+        )
     if cl.modes is not None:
         return _modal_h2(cl.modes, tols)
-    _, spectrum = is_hurwitz(cl.A_cl)
-    _require_hurwitz(spectrum, tols)
-    return h2_norm(cl.A_cl, cl.B_cl, cl.C_cl, tols, spectrum=spectrum)
+    return h2_norm(cl.A_cl, cl.B_cl, cl.C_cl, tols)
 
 
 def rho_scaling_probe(model: AgentModel, g: CommGraph, kind: str, rho_list,

@@ -71,6 +71,24 @@ def is_hurwitz(A):
     return bool(spectrum.real.max() < 0.0), spectrum
 
 
+def require_hurwitz(spectrum, tols: Tolerances):
+    """Raise NotHurwitz unless the spectral abscissa of `spectrum` is
+    below -tols.hurwitz_margin, the margin every Lyapunov solve needs."""
+    abscissa = spectrum.real.max()
+    if not abscissa < -tols.hurwitz_margin:
+        raise NotHurwitz(f"closed loop is not Hurwitz: spectral abscissa {abscissa:.3e} "
+                         f"is not below -{tols.hurwitz_margin:.1e}", spectrum)
+
+
+def require_lyapunov_residual(res, a_norm, x_norm, spectrum, tols: Tolerances):
+    """Raise NotHurwitz unless the residual norm of A X + X A^T + W = 0
+    is at most tols.lyapunov_residual (1 + ||A||) (1 + ||X||); NaN fails."""
+    cap = tols.lyapunov_residual * (1.0 + a_norm) * (1.0 + x_norm)
+    if not res <= cap:
+        raise NotHurwitz(f"Lyapunov residual {res:.3e} exceeds tolerance {cap:.3e} "
+                         "(A is too close to the imaginary axis)", spectrum)
+
+
 def _solve_care(A, mid, Q, residual_cap, tols):
     """Stabilizing solution of A^T X + X A - X mid X + Q = 0.
 
@@ -181,10 +199,10 @@ def solve_filter_riccati(A, E, C, rho, delta, tols: Tolerances = DEFAULT):
     n = A.shape[0]
     if A.shape[1] != n or E.shape[0] != n or C.shape[1] != n:
         raise DimensionMismatch("inconsistent (A, E, C) dimensions")
-    if rho < 1.0:
-        raise RhoOutOfRange(f"rho must be >= 1, got {rho}")
-    if delta <= 0.0:
-        raise DimensionMismatch(f"delta must be positive, got {delta}")
+    if not (1.0 <= rho < np.inf):
+        raise RhoOutOfRange(f"rho must be finite and >= 1, got {rho}")
+    if not (0.0 < delta < np.inf):
+        raise DimensionMismatch(f"delta must be finite and positive, got {delta}")
 
     mid = C.T @ C / delta**2 - rho**2 * np.eye(n)
     cap = tols.filter_residual * (1.0 + np.linalg.norm(A, 2)) ** 2
@@ -214,13 +232,13 @@ def solve_filter_riccati(A, E, C, rho, delta, tols: Tolerances = DEFAULT):
     return StableSubspaceResult(Q, res_norm, spectrum)
 
 
-def solve_lyapunov(A, W, tols: Tolerances = DEFAULT, spectrum=None):
+def solve_lyapunov(A, W, tols: Tolerances = DEFAULT):
     """Solve A X + X A^T + W = 0 for Hurwitz A and symmetric W.
 
     Bartels-Stewart via the real Schur form (scipy's
     solve_continuous_lyapunov).  Raises NotHurwitz when the spectral
-    abscissa of A is >= -hurwitz_margin.  spectrum, the eigenvalues of
-    A, is computed here unless the caller already has it.
+    abscissa of A is >= -hurwitz_margin or the residual is above
+    tolerance.
     """
     A = _as_matrix(A, "A")
     W = _as_matrix(W, "W")
@@ -228,40 +246,25 @@ def solve_lyapunov(A, W, tols: Tolerances = DEFAULT, spectrum=None):
         raise DimensionMismatch(
             f"need square A and matching W, got {A.shape} and {W.shape}"
         )
-    if spectrum is None:
-        _, spectrum = is_hurwitz(A)
-    if not spectrum.real.max() < -tols.hurwitz_margin:
-        raise NotHurwitz(
-            f"A has spectral abscissa {spectrum.real.max():.3e}", spectrum
-        )
+    _, spectrum = is_hurwitz(A)
+    require_hurwitz(spectrum, tols)
     X = sla.solve_continuous_lyapunov(A, -W)
     X = 0.5 * (X + X.T)
     res = np.linalg.norm(A @ X + X @ A.T + W, 2)
-    cap = (
-        tols.lyapunov_residual
-        * (1.0 + np.linalg.norm(A, 2))
-        * (1.0 + np.linalg.norm(X, 2))
-    )
-    if res > cap:
-        raise NotHurwitz(
-            f"Lyapunov residual {res:.3e} exceeds tolerance {cap:.3e} "
-            "(A is too close to the imaginary axis)",
-            spectrum,
-        )
+    require_lyapunov_residual(res, np.linalg.norm(A, 2), np.linalg.norm(X, 2), spectrum, tols)
     return X
 
 
-def h2_norm(A, B, C, tols: Tolerances = DEFAULT, spectrum=None):
+def h2_norm(A, B, C, tols: Tolerances = DEFAULT):
     """H2 norm of the strictly proper system (A, B, C).
 
     sqrt(trace(C X C^T)) with the controllability Gramian X solving
-    A X + X A^T + B B^T = 0.  A must be Hurwitz; spectrum is passed on
-    to solve_lyapunov.
+    A X + X A^T + B B^T = 0.  A must be Hurwitz.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
     C = _as_matrix(C, "C")
-    X = solve_lyapunov(A, B @ B.T, tols, spectrum)
+    X = solve_lyapunov(A, B @ B.T, tols)
     val = np.trace(C @ X @ C.T)
     return float(np.sqrt(max(val, 0.0)))
 
@@ -278,18 +281,15 @@ def hinf_norm(A, B, C, tol=None, tols: Tolerances = DEFAULT):
     Bisection on gamma: gamma exceeds the norm iff the Hamiltonian
     [[A, B B^T / gamma^2], [-C^T C, -A^T]] has no imaginary-axis
     eigenvalues.  Result is accurate to relative `tol` (default
-    tols.hinf_rel).
+    tols.hinf_rel).  A must pass `require_hurwitz`.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
     C = _as_matrix(C, "C")
     if tol is None:
         tol = tols.hinf_rel
-    hurwitz, spectrum = is_hurwitz(A)
-    if not hurwitz:
-        raise NotHurwitz(
-            f"A has spectral abscissa {spectrum.real.max():.3e}", spectrum
-        )
+    _, spectrum = is_hurwitz(A)
+    require_hurwitz(spectrum, tols)
     if np.linalg.norm(B) == 0.0 or np.linalg.norm(C) == 0.0:
         return 0.0
 

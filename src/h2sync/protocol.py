@@ -24,6 +24,7 @@ import numpy as np
 from .conditions import AgentModel, full_report
 from .errors import (
     DeltaSearchExhausted,
+    DimensionMismatch,
     NoStabilizingSolution,
     NotPositiveDefinite,
     ParseError,
@@ -49,7 +50,9 @@ DELTA_SEARCH_FLOOR = 1e-12
 class ProtocolRealization:
     """Synthesized controller data for one value of rho.
 
-    kind is "p1" or "p2"; delta and Q_rho are None for Protocol 1.
+    kind is "p1" or "p2"; delta and Q_rho are set for Protocol 2 only.
+    Data no synthesis returns is rejected: RhoOutOfRange for rho, else
+    DimensionMismatch (P and Q_rho must be finite, symmetric, n x n).
     """
 
     kind: str
@@ -58,6 +61,20 @@ class ProtocolRealization:
     delta: Optional[float] = None
     Q_rho: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        if self.kind not in ("p1", "p2"):
+            raise DimensionMismatch(f"unknown protocol kind {self.kind!r}")
+        if not (1.0 <= self.rho < np.inf):
+            raise RhoOutOfRange(f"rho must be finite and >= 1, got {self.rho}")
+        p2 = self.kind == "p2"
+        if p2 != (self.delta is not None) or p2 != (self.Q_rho is not None):
+            raise DimensionMismatch("delta and Q_rho are set for p2 and only for p2")
+        if p2 and not (0.0 < self.delta < np.inf):
+            raise DimensionMismatch(f"delta must be finite and > 0, got {self.delta}")
+        _check_block("P", self.P, self.n)
+        if p2:
+            _check_block("Q_rho", self.Q_rho, self.n)
+
     @property
     def n(self):
         return self.P.shape[0]
@@ -65,6 +82,14 @@ class ProtocolRealization:
     @property
     def controller_state_dim(self):
         return self.n if self.kind == "p1" else 2 * self.n
+
+
+def _check_block(label, M, n):
+    if M.shape != (n, n) or not np.all(np.isfinite(M)):
+        raise DimensionMismatch(f"{label} must be a finite {n} x {n} matrix, got {M.shape}")
+    asym = np.linalg.norm(M - M.T)
+    if asym > DEFAULT.symmetry * max(1.0, np.linalg.norm(M)):
+        raise DimensionMismatch(f"{label} is not symmetric (Frobenius asymmetry {asym:.3g})")
 
 
 def _check_rho(rho):
@@ -188,19 +213,10 @@ def realization_to_text(real: ProtocolRealization) -> str:
     return "\n".join(out) + "\n"
 
 
-def _check_block(label, M, n):
-    if M.shape != (n, n) or not np.all(np.isfinite(M)):
-        raise ParseError(f"{label} must be a finite {n} x {n} matrix, got {M.shape}")
-    asym = np.linalg.norm(M - M.T)
-    if asym > DEFAULT.symmetry * max(1.0, np.linalg.norm(M)):
-        raise ParseError(f"{label} is not symmetric (Frobenius asymmetry {asym:.3g})")
-
-
 def parse_realization(text: str) -> ProtocolRealization:
-    """Parse the `realization_to_text` format.  Raises ParseError for
-    data no synthesis returns: rho below 1, a p2 delta that is not
-    positive, a P or Q_rho that is not a symmetric n x n matrix, or
-    lines after the last block."""
+    """Parse the `realization_to_text` format.  Raises ParseError for a
+    repeated or unknown header key, lines after the last block, and
+    data that `ProtocolRealization` rejects (a delta in a p1 file)."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     try:
         fields = {}
@@ -209,12 +225,14 @@ def parse_realization(text: str) -> ProtocolRealization:
             key, val = lines[i].split(None, 1)
             if key in ("P", "Q_rho"):
                 break
+            if key in fields or key not in ("kind", "n", "rho", "delta"):
+                raise ParseError(f"repeated or unknown header key {key!r}")
             fields[key] = val
             i += 1
         kind = fields["kind"]
         n = int(fields["n"])
         rho = float(fields["rho"])
-        delta = float(fields["delta"]) if kind == "p2" else None
+        delta = float(fields["delta"]) if "delta" in fields else None
 
         def read_matrix(label):
             nonlocal i
@@ -231,15 +249,9 @@ def parse_realization(text: str) -> ProtocolRealization:
         Q = read_matrix("Q_rho") if kind == "p2" else None
     except (KeyError, ValueError, IndexError) as exc:
         raise ParseError(f"malformed realization file: {exc}")
-    if kind not in ("p1", "p2"):
-        raise ParseError(f"unknown protocol kind {kind!r}")
     if i < len(lines):
         raise ParseError(f"unexpected line after the last block: {lines[i]!r}")
-    if not (1.0 <= rho < np.inf):
-        raise ParseError(f"rho must be finite and >= 1, got {rho}")
-    if kind == "p2" and not (0.0 < delta < np.inf):
-        raise ParseError(f"delta must be finite and > 0, got {delta}")
-    _check_block("P", P, n)
-    if kind == "p2":
-        _check_block("Q_rho", Q, n)
-    return ProtocolRealization(kind=kind, rho=rho, P=P, delta=delta, Q_rho=Q)
+    try:
+        return ProtocolRealization(kind=kind, rho=rho, P=P, delta=delta, Q_rho=Q)
+    except (DimensionMismatch, RhoOutOfRange) as exc:
+        raise ParseError(str(exc)) from exc

@@ -52,8 +52,8 @@ DIVERGENCE_LIMIT = 1e12
 _BLOCK_BYTES = 2 << 20
 
 
-def _check_time_grid(dt, t_final, tail_fraction):
-    """Reject a step, horizon or tail window no run can use."""
+def _check_time_grid(dt, t_final, tail_fraction, integrator):
+    """Reject a step, horizon, tail window or integrator no run can use."""
     if not (0.0 < dt < math.inf):
         raise ConfigInvalid(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(t_final):
@@ -64,6 +64,8 @@ def _check_time_grid(dt, t_final, tail_fraction):
         )
     if not (0.0 < tail_fraction < 1.0):
         raise ConfigInvalid(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
+    if integrator not in ("rk4", "zoh"):
+        raise ConfigInvalid(f"integrator must be 'rk4' or 'zoh', got {integrator!r}")
 
 
 @dataclass
@@ -80,13 +82,9 @@ class SimConfig:
     integrator: str = "rk4"
 
     def __post_init__(self):
-        _check_time_grid(self.dt, self.t_final, self.tail_fraction)
+        _check_time_grid(self.dt, self.t_final, self.tail_fraction, self.integrator)
         if self.noise not in ("off", "white"):
             raise ConfigInvalid(f"noise must be 'off' or 'white', got {self.noise!r}")
-        if self.integrator not in ("rk4", "zoh"):
-            raise ConfigInvalid(
-                f"integrator must be 'rk4' or 'zoh', got {self.integrator!r}"
-            )
         if self.initial_conditions is not None:
             ic = np.asarray(self.initial_conditions, dtype=float)
             N, n = self.graph.n_agents, self.model.n
@@ -294,7 +292,7 @@ def white_noise_rms(A, B, C, dt, t_final, seeds, tail_fraction=0.5,
     """Per-seed tail RMS of y = C z for dz = A z + B w under held white
     noise (zero initial state); the sanity kernel behind the H2-as-RMS
     checks.  Seeds run as columns of one batched propagation."""
-    _check_time_grid(dt, t_final, tail_fraction)
+    _check_time_grid(dt, t_final, tail_fraction, integrator)
     A, B, C = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (A, B, C))
     M, K = step_matrices(A, B, dt, integrator)
     steps = int(round(t_final / dt))

@@ -248,6 +248,23 @@ class TestNonFiniteTime:
         assert "input error" in capsys.readouterr().err
 
 
+class TestNonFiniteSynthesisParameters:
+    @pytest.mark.parametrize("flag", ["--rho", "--delta"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_exit_2(self, flag, value, ref_files, capsys):
+        model, _, tmp = ref_files
+        argv = ["synth", "--model", model, "--protocol", "p2", "--out", str(tmp / "o"),
+                "--rho", value if flag == "--rho" else "4"]
+        if flag == "--delta":
+            argv += ["--delta", value]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad --rho list
+            code = exc.code
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestSolvabilityGate:
     @pytest.mark.parametrize("command", ["check", "analyze", "simulate"])
     def test_p2_letters_on_full_state_model(self, command, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -202,7 +203,70 @@ class TestStackedCrossCheck:
             reduce_to_differences(raw, m, real)
 
 
+def frequency_response(cl, omega):
+    """C (j omega I - A)^-1 B of a loop."""
+    n = cl.A_cl.shape[0]
+    return cl.C_cl @ np.linalg.solve(1j * omega * np.eye(n) - cl.A_cl, cl.B_cl)
+
+
+# case 1, case 2 and 20 seeded random spanning-tree digraphs (N = 2-16)
+ORACLE_GRAPHS = ["case1", "case2"] + [f"random{seed}" for seed in range(20)]
+
+
+def oracle_graph(name):
+    if name == "case1":
+        return case1_graph()
+    if name == "case2":
+        return case2_graph()
+    rng = np.random.default_rng([11, int(name[6:])])
+    return random_spanning_tree_graph(rng, int(rng.integers(2, 17)))[0]
+
+
+class TestDenseForm:
+    @pytest.mark.parametrize("graph", ORACLE_GRAPHS)
+    def test_frequency_response_matches_stacked(self, designs, graph):
+        # every entry of the dense matrices against the independent
+        # stacked derivation, through the transfer function they realize
+        g = oracle_graph(graph)
+        for model, real, assemble in designs:
+            err = assemble(model, real, laplacian(g))
+            red = reduce_to_differences(assemble_stacked(model, real, g), model, real)
+            for omega in (0.0, 0.3, 3.0, 30.0):
+                G, G_ref = frequency_response(err, omega), frequency_response(red, omega)
+                assert np.linalg.norm(G - G_ref) <= 1e-9 * np.linalg.norm(G_ref)
+
+    @pytest.mark.parametrize("graph", ["case1", "random3"])
+    def test_dense_is_block_permutation_of_mode_formula(self, designs, graph):
+        # the ModeData docstring: agent-major I (x) D - rho Lbar (x) S,
+        # sum_a M[a] (x) E[a] and I (x) C_out, reordered block-major
+        lp = laplacian(oracle_graph(graph))
+        for model, real, assemble in designs:
+            cl = assemble(model, real, lp)
+            md = cl.modes
+            m, n, d = lp.L_reduced.shape[0], md.n, md.D.shape[0]
+            S = np.zeros((d, d))
+            S[md.block(md.coupled), md.block(md.coupled)] = np.eye(n)
+            A = np.kron(np.eye(m), md.D) - md.rho * np.kron(md.L_reduced, S)
+            B = sum(np.kron(Ma, Ea) for Ma, Ea in zip(md.M, md.E))
+            C = np.kron(np.eye(m), np.eye(d)[md.block(md.output)])
+            # the assembled loop is laid out (xbar, e) or (xbar, ebar, e)
+            layout = (0, 1) if real.kind == "p1" else (0, 2, 1)
+            for order in itertools.permutations(range(d // n)):
+                perm = np.concatenate([k * d + b * n + np.arange(n)
+                                       for b in order for k in range(m)])
+                A_d, B_d, C_d = (cl.A_cl, cl.B_cl, cl.C_cl) if order == layout else md.dense(order)
+                np.testing.assert_array_equal(A_d, A[np.ix_(perm, perm)])
+                np.testing.assert_array_equal(B_d, B[perm])
+                np.testing.assert_array_equal(C_d, C[:, perm])
+
+
 class TestErrorH2:
+    def test_stacked_form_refused(self, designs):
+        model, real, _ = designs[1]
+        raw = assemble_stacked(model, real, case1_graph())
+        with pytest.raises(NotHurwitz, match="reduce_to_differences"):
+            error_h2(raw)
+
     def test_zero_disturbance(self):
         m = AgentModel.full_state(
             triple_integrator().A, triple_integrator().B, np.zeros((3, 1))
@@ -228,7 +292,7 @@ class TestErrorH2:
 
         # error_h2 reaches is_hurwitz through both module bindings
         monkeypatch.setattr(linalg, "is_hurwitz", counting)
-        monkeypatch.setattr(closedloop, "is_hurwitz", counting)
+        monkeypatch.setattr(closedloop, "is_hurwitz", counting, raising=False)
         model, real, assemble = designs[1]
         cl = assemble(model, real, laplacian(case2_graph()))
         dense = error_h2(dense_only(cl))

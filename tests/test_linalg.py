@@ -4,6 +4,7 @@ import scipy.linalg as sla
 from scipy.integrate import quad
 
 from h2sync.errors import (
+    DimensionMismatch,
     NoStabilizingSolution,
     NotHurwitz,
     NotPositiveDefinite,
@@ -132,6 +133,16 @@ class TestFilterRiccati:
     def test_rho_below_one_rejected(self):
         with pytest.raises(RhoOutOfRange):
             solve_filter_riccati(TRIPLE_A, TRIPLE_B, TRIPLE_C, 0.5, 0.01)
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf])
+    def test_non_finite_rho_rejected(self, rho):
+        with pytest.raises(RhoOutOfRange):
+            solve_filter_riccati(TRIPLE_A, TRIPLE_B, TRIPLE_C, rho, 0.01)
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, 0.0, -1.0])
+    def test_delta_outside_open_half_line_rejected(self, delta):
+        with pytest.raises(DimensionMismatch, match="delta"):
+            solve_filter_riccati(TRIPLE_A, TRIPLE_B, TRIPLE_C, 4.0, delta)
 
     def test_scipy_pencil_cross_check(self):
         # independent route: scipy solves the transposed standard form
@@ -263,6 +274,11 @@ class TestHinfNorm:
     def test_not_hurwitz(self):
         with pytest.raises(NotHurwitz):
             hinf_norm([[1.0]], [[1.0]], [[1.0]])
+
+    def test_hurwitz_margin(self):
+        # stable, but inside the margin every Lyapunov solve also refuses
+        with pytest.raises(NotHurwitz, match="spectral abscissa"):
+            hinf_norm([[-1e-13]], [[1.0]], [[1.0]])
 
     def test_sup_property(self):
         rng = np.random.default_rng(17)

@@ -5,12 +5,14 @@ from h2sync.cases import case1_graph, case2_graph, triple_integrator, triple_int
 from h2sync.conditions import AgentModel
 from h2sync.errors import (
     DeltaSearchExhausted,
+    DimensionMismatch,
     ParseError,
     PreconditionFailed,
     RhoOutOfRange,
 )
 from h2sync.linalg import spectral_abscissa
 from h2sync.protocol import (
+    ProtocolRealization,
     controller_matrices,
     parse_realization,
     realization_to_text,
@@ -272,10 +274,34 @@ class TestSerialization:
         P1 + "garbage here\n",
         P2 + "P\n1\n",
         "kind p2\nn 1\nrho 0.5\ndelta -1\nP\n1\nQ_rho\n1\ngarbage here\n",
+        "kind p1\nn 1\nrho 2\nrho 5\nP\n1\n",  # repeated key
+        "kind p1\nn 1\nrho 2\nbogus 1\nP\n1\n",  # unknown key
+        P1.replace("rho 2\n", "rho 2\ndelta 0.5\n"),  # delta in a p1 file
+        P2.replace("kind p2\n", "kind p2\nkind p2\n"),
     ])
     def test_rejects_data_no_synthesis_returns(self, text):
         with pytest.raises(ParseError):
             parse_realization(text)
+
+    @pytest.mark.parametrize("fields, error", [
+        (dict(kind="p3"), DimensionMismatch),
+        (dict(rho=0.5), RhoOutOfRange),
+        (dict(rho=np.inf), RhoOutOfRange),
+        (dict(rho=np.nan), RhoOutOfRange),
+        (dict(delta=0.0), DimensionMismatch),
+        (dict(delta=np.nan), DimensionMismatch),
+        (dict(delta=None), DimensionMismatch),
+        (dict(Q_rho=None), DimensionMismatch),
+        (dict(P=np.array([[1.0, 2.0], [0.0, 1.0]])), DimensionMismatch),
+        (dict(P=np.array([[1.0, np.inf], [np.inf, 1.0]])), DimensionMismatch),
+        (dict(Q_rho=np.eye(3)), DimensionMismatch),
+        (dict(kind="p1"), DimensionMismatch),  # a p1 realization with delta and Q_rho
+    ])
+    def test_realization_built_in_code_is_checked(self, fields, error):
+        good = dict(kind="p2", rho=2.0, P=np.eye(2), delta=0.5, Q_rho=np.eye(2))
+        ProtocolRealization(**good)
+        with pytest.raises(error):
+            ProtocolRealization(**{**good, **fields})
 
     @pytest.mark.parametrize("text, n", [(P1, 2), (P2, 1)])
     def test_valid_samples_parse(self, text, n):

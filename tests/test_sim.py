@@ -97,6 +97,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             white_noise_rms(-1.0, 1.0, 1.0, dt, t_final, [0], tail_fraction=tail_fraction)
 
+    def test_white_noise_rms_integrator(self):
+        # step_matrices reads any name but "rk4" as exact ZOH
+        with pytest.raises(ConfigInvalid, match="integrator"):
+            white_noise_rms(-1.0, 1.0, 1.0, 0.01, 2.0, [0], integrator="euler")
+
 
 class TestDeterminism:
     def test_bit_identical_repeat(self):
