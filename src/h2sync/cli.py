@@ -24,6 +24,7 @@ from .errors import (
     RhoOutOfRange,
 )
 from .graph import parse_graph
+from .linalg import require_rho
 from .protocol import realization_to_text, synthesize_p1, synthesize_p2
 from .sim import SimConfig, _max_pair_error, rms, trajectory_blocks
 
@@ -43,8 +44,11 @@ def _rho_list(text):
         raise argparse.ArgumentTypeError(f"bad rho list {text!r}")
     if not rhos:
         raise argparse.ArgumentTypeError("rho list must be nonempty")
-    if not all(1.0 <= r < np.inf for r in rhos):
-        raise argparse.ArgumentTypeError("every rho must be finite and >= 1")
+    try:
+        for r in rhos:
+            require_rho(r)
+    except RhoOutOfRange as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return rhos
 
 

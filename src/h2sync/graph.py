@@ -8,7 +8,8 @@ text file format (see `parse_graph`) is 1-based.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import DimensionMismatch, ParseError, SpectrumMismatch
 from .tolerances import DEFAULT, Tolerances
@@ -129,7 +130,11 @@ def reduced_spectrum_check(lp: LaplacianPair, tol: float, tols: Tolerances = DEF
             f"{len(ev_R)} eigenvalues of L_reduced"
         )
     cost = np.abs(nonzero[:, None] - ev_R[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    # csgraph rather than scipy.optimize.linear_sum_assignment, whose
+    # import alone adds about 20 MB of resident memory.  A sparse matrix
+    # has no zero-weight edges, so every cost is shifted by 1: each full
+    # matching has len(cost) edges, so the shift keeps the cheapest one.
+    rows, cols = min_weight_full_bipartite_matching(csr_matrix(cost + 1.0))
     bad = cost[rows, cols] > tol
     if np.any(bad):
         worst = cost[rows, cols].max()

@@ -4,8 +4,10 @@ Continuous algebraic Riccati equations are solved by ordered real Schur
 decomposition of the associated Hamiltonian matrix, with Newton defect
 correction when the residual is above tolerance.  Lyapunov equations
 go through Bartels-Stewart.  H2 norms use the controllability
-Gramian; H-infinity norms use bisection with the Hamiltonian
-imaginary-axis eigenvalue test.
+Gramian.  H-infinity norms use the level-set iteration of Bruinsma and
+Steinbuch: the imaginary-axis eigenvalues of a Hamiltonian give the
+frequencies where the gain crosses a level, and the gains between them
+raise the level until no gain above it is left.
 """
 
 from dataclasses import dataclass
@@ -58,6 +60,21 @@ def _as_matrix(M, name):
     return M
 
 
+def _as_system(A, B, C):
+    """(A, B, C) as float matrices with A square, B with as many rows and
+    C with as many columns as A has; DimensionMismatch otherwise."""
+    A = _as_matrix(A, "A")
+    B = _as_matrix(B, "B")
+    C = _as_matrix(C, "C")
+    n = A.shape[0]
+    if A.shape != (n, n) or B.shape[0] != n or C.shape[1] != n:
+        raise DimensionMismatch(
+            f"need square A with B rows and C columns to match, got "
+            f"A {A.shape}, B {B.shape}, C {C.shape}"
+        )
+    return A, B, C
+
+
 def spectral_abscissa(A):
     """Largest real part over the eigenvalues of A."""
     A = _as_matrix(A, "A")
@@ -78,6 +95,13 @@ def require_hurwitz(spectrum, tols: Tolerances):
     if not abscissa < -tols.hurwitz_margin:
         raise NotHurwitz(f"closed loop is not Hurwitz: spectral abscissa {abscissa:.3e} "
                          f"is not below -{tols.hurwitz_margin:.1e}", spectrum)
+
+
+def require_rho(rho):
+    """Raise RhoOutOfRange unless the coupling gain satisfies
+    1 <= rho < inf; NaN fails."""
+    if not (1.0 <= rho < np.inf):
+        raise RhoOutOfRange(f"rho must be finite and >= 1, got {rho}")
 
 
 def require_lyapunov_residual(res, a_norm, x_norm, spectrum, tols: Tolerances):
@@ -199,8 +223,7 @@ def solve_filter_riccati(A, E, C, rho, delta, tols: Tolerances = DEFAULT):
     n = A.shape[0]
     if A.shape[1] != n or E.shape[0] != n or C.shape[1] != n:
         raise DimensionMismatch("inconsistent (A, E, C) dimensions")
-    if not (1.0 <= rho < np.inf):
-        raise RhoOutOfRange(f"rho must be finite and >= 1, got {rho}")
+    require_rho(rho)
     if not (0.0 < delta < np.inf):
         raise DimensionMismatch(f"delta must be finite and positive, got {delta}")
 
@@ -261,9 +284,7 @@ def h2_norm(A, B, C, tols: Tolerances = DEFAULT):
     sqrt(trace(C X C^T)) with the controllability Gramian X solving
     A X + X A^T + B B^T = 0.  A must be Hurwitz.
     """
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
-    C = _as_matrix(C, "C")
+    A, B, C = _as_system(A, B, C)
     X = solve_lyapunov(A, B @ B.T, tols)
     val = np.trace(C @ X @ C.T)
     return float(np.sqrt(max(val, 0.0)))
@@ -275,52 +296,85 @@ def _gain_at(A, B, C, omega):
     return np.linalg.svd(G, compute_uv=False)[0]
 
 
+def _on_imag_axis(eigs, tols: Tolerances):
+    """Mask of the eigenvalues whose real part is at most tols.imag_axis
+    times their own modulus.  A band set by ||H|| instead would swallow
+    every eigenvalue that is small next to the largest one."""
+    return np.abs(eigs.real) <= tols.imag_axis * np.abs(eigs)
+
+
+def _resonant_frequency(spectrum):
+    """Start frequency of the level-set iteration (Bruinsma & Steinbuch
+    1990): |lambda| of the pole maximizing |Im| / (|Re| |lambda|), the
+    most lightly damped one relative to its size; the smallest |lambda|
+    when every pole is real.  Needs Re lambda < 0."""
+    modulus = np.abs(spectrum)
+    resonance = np.abs(spectrum.imag) / (np.abs(spectrum.real) * modulus)
+    if resonance.max() > 0.0:
+        return modulus[np.argmax(resonance)]
+    return modulus.min()
+
+
+# level-set steps before hinf_norm gives up; the iteration converges
+# quadratically and usually stops within five steps
+_HINF_MAX_STEPS = 30
+
+
 def hinf_norm(A, B, C, tol=None, tols: Tolerances = DEFAULT):
     """H-infinity norm of the stable strictly proper system (A, B, C).
 
-    Bisection on gamma: gamma exceeds the norm iff the Hamiltonian
-    [[A, B B^T / gamma^2], [-C^T C, -A^T]] has no imaginary-axis
-    eigenvalues.  Result is accurate to relative `tol` (default
-    tols.hinf_rel).  A must pass `require_hurwitz`.
+    Level-set iteration (Bruinsma & Steinbuch 1990; Boyd & Balakrishnan
+    1990).  gamma is a singular value of G(j omega) iff j omega is an
+    eigenvalue of H(gamma) = [[A, B B^T / gamma^2], [-C^T C, -A^T]].
+    Starting from lo, the larger gain at DC and at the most resonant
+    pole frequency, each step reads the crossing frequencies of
+    gamma = (1 + 2 tol) lo from the imaginary-axis eigenvalues of
+    H(gamma) and raises lo to the largest gain at the midpoints between
+    consecutive crossings.  It stops when H(gamma) has no crossings or
+    no midpoint gain exceeds lo, and returns (1 + tol) lo: within
+    relative `tol` (default tols.hinf_rel, in (0, 1)) of the norm, and
+    (1 + tol) times a measured gain.  A must pass `require_hurwitz`.
+    Raises H2SyncError if the iteration has not stopped after
+    _HINF_MAX_STEPS steps.
     """
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
-    C = _as_matrix(C, "C")
+    A, B, C = _as_system(A, B, C)
     if tol is None:
         tol = tols.hinf_rel
+    if not (0.0 < tol < 1.0):
+        raise DimensionMismatch(f"tol must be finite and in (0, 1), got {tol}")
     _, spectrum = is_hurwitz(A)
     require_hurwitz(spectrum, tols)
-    if np.linalg.norm(B) == 0.0 or np.linalg.norm(C) == 0.0:
-        return 0.0
-
-    # seed the bracket from a frequency sweep (DC, log grid, pole frequencies)
-    omegas = np.concatenate(
-        [[0.0], np.logspace(-4, 4, 120), np.abs(spectrum.imag)]
-    )
-    lo = max(_gain_at(A, B, C, w) for w in omegas)
-    if lo == 0.0:
-        # entries of G are rational of bounded degree; vanishing on the
-        # whole sample grid means the map is identically zero
-        return 0.0
+    lo = max(_gain_at(A, B, C, 0.0), _gain_at(A, B, C, _resonant_frequency(spectrum)))
 
     BBt = B @ B.T
     CtC = C.T @ C
-
-    def no_axis_crossing(gamma):
-        H = np.block([[A, BBt / gamma**2], [-CtC, -A.T]])
-        eigs = np.linalg.eigvals(H)
-        band = tols.imag_axis * (1.0 + np.linalg.norm(H, 2))
-        return not np.any(np.abs(eigs.real) < band)
-
-    hi = 2.0 * lo
-    while not no_axis_crossing(hi):
-        hi *= 2.0
-        if hi > 1e15 * lo:
-            raise H2SyncError("H-infinity bisection failed to bracket the norm")
-    while (hi - lo) > tol * lo:
-        mid = 0.5 * (lo + hi)
-        if no_axis_crossing(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    gamma = (1.0 + 2.0 * tol) * lo
+    if lo == 0.0:
+        # G vanishes at both start frequencies.  Its largest Hankel
+        # singular value is zero iff G is identically zero, and lies
+        # below ||G||_inf otherwise, so half of it is a level G crosses.
+        X = solve_lyapunov(A, BBt, tols)
+        Y = solve_lyapunov(A.T, CtC, tols)
+        gamma = 0.5 * np.sqrt(max(np.linalg.eigvals(X @ Y).real.max(), 0.0))
+        if gamma == 0.0:
+            return 0.0
+    # H(gamma) is similar to [[A, s BB^T / gamma], [-C^T C / (s gamma), -A^T]]
+    # with s = ||C|| / ||B||, whose off-diagonal blocks have equal norms.
+    # At lightly damped peaks this form computes the crossings about
+    # 1e-12 relative off the axis, the unscaled one 2-4e-9: beyond
+    # tols.imag_axis, so they would be missed
+    s = np.linalg.norm(C, 2) / np.linalg.norm(B, 2)
+    R, Q = s * BBt, CtC / s
+    for _ in range(_HINF_MAX_STEPS):
+        eigs = np.linalg.eigvals(np.block([[A, R / gamma], [-Q / gamma, -A.T]]))
+        omegas = np.unique(np.abs(eigs[_on_imag_axis(eigs, tols)].imag))
+        midpoints = 0.5 * (omegas[:-1] + omegas[1:])
+        peak = max((_gain_at(A, B, C, w) for w in midpoints), default=0.0)
+        if peak <= lo:
+            return (1.0 + tol) * lo
+        lo = peak
+        gamma = (1.0 + 2.0 * tol) * lo
+    raise H2SyncError(
+        f"H-infinity level-set iteration did not stop in {_HINF_MAX_STEPS} steps "
+        f"(last lower bound {lo:.6e})"
+    )

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionFailed,
     RhoOutOfRange,
 )
-from .linalg import solve_care_standard, solve_filter_riccati
+from .linalg import require_rho, solve_care_standard, solve_filter_riccati
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -64,8 +64,7 @@ class ProtocolRealization:
     def __post_init__(self):
         if self.kind not in ("p1", "p2"):
             raise DimensionMismatch(f"unknown protocol kind {self.kind!r}")
-        if not (1.0 <= self.rho < np.inf):
-            raise RhoOutOfRange(f"rho must be finite and >= 1, got {self.rho}")
+        require_rho(self.rho)
         p2 = self.kind == "p2"
         if p2 != (self.delta is not None) or p2 != (self.Q_rho is not None):
             raise DimensionMismatch("delta and Q_rho are set for p2 and only for p2")
@@ -92,14 +91,9 @@ def _check_block(label, M, n):
         raise DimensionMismatch(f"{label} is not symmetric (Frobenius asymmetry {asym:.3g})")
 
 
-def _check_rho(rho):
-    if not np.isfinite(rho) or rho < 1.0:
-        raise RhoOutOfRange(f"rho must be >= 1, got {rho}")
-
-
 def synthesize_p1(model: AgentModel, rho: float, tols: Tolerances = DEFAULT):
     """Protocol 1 synthesis for a full-state-coupling model."""
-    _check_rho(rho)
+    require_rho(rho)
     if model.coupling_kind != "full-state":
         raise PreconditionFailed(
             "Protocol 1 requires full-state coupling (C = I)", condition="(coupling)"
@@ -128,7 +122,7 @@ def synthesize_p2(
 ):
     """Protocol 2 synthesis; searches delta by geometric halving from 1
     unless delta_hint is given."""
-    _check_rho(rho)
+    require_rho(rho)
     # the partial-state conditions apply to C = I models as well
     full_report(replace(model, coupling_kind="partial-state"), tols=tols).require()
 

@@ -15,7 +15,9 @@ class Tolerances:
     filter_residual: float = 1e-8
     # Lyapunov residual cap, scaled by (1 + ||A||_2) * (1 + ||X||_2)
     lyapunov_residual: float = 1e-10
-    # |Re(lambda)| below imag_axis * (1 + ||H||_2) counts as "on the axis"
+    # "on the imaginary axis": |Re(lambda)| below imag_axis * (1 + ||H||_2)
+    # in the Riccati pre-check, |Re(lambda)| at most imag_axis * |lambda|
+    # for the crossings of the H-infinity level set
     imag_axis: float = 1e-9
     # rank decisions: singular values below rank_rel * sigma_max are zero
     rank_rel: float = 1e-9
@@ -32,7 +34,8 @@ class Tolerances:
     # 1 + ||A||_2) are classified as numerically infinite: rounding
     # splits the infinite zero structure into huge finite pairs
     zero_infinity_radius: float = 1e4
-    # relative accuracy of the H-infinity bisection
+    # relative accuracy of the H-infinity level set: the returned norm is
+    # (1 + hinf_rel) times a measured gain, within hinf_rel of the norm
     hinf_rel: float = 1e-6
 
 

@@ -3,8 +3,19 @@ import pytest
 import scipy.linalg as sla
 from scipy.integrate import quad
 
+from conftest import random_spanning_tree_graph
+
+import h2sync.linalg as linalg
+from h2sync.cases import (
+    case1_graph,
+    case2_graph,
+    triple_integrator,
+    triple_integrator_full_state,
+)
+from h2sync.closedloop import assemble_p1, assemble_p2
 from h2sync.errors import (
     DimensionMismatch,
+    H2SyncError,
     NoStabilizingSolution,
     NotHurwitz,
     NotPositiveDefinite,
@@ -19,6 +30,9 @@ from h2sync.linalg import (
     solve_lyapunov,
     spectral_abscissa,
 )
+from h2sync.graph import laplacian
+from h2sync.protocol import synthesize_p1, synthesize_p2
+from h2sync.tolerances import DEFAULT
 
 TRIPLE_A = np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]])
 TRIPLE_B = np.array([[0.0], [0], [1]])
@@ -33,6 +47,44 @@ def lyapunov_kron(A, W):
     x = np.linalg.solve(K, -W.reshape(-1, order="F"))
     X = x.reshape((n, n), order="F")
     return 0.5 * (X + X.T)
+
+
+def hinf_bisection(A, B, C, tol=1e-6, imag_axis=1e-9):
+    """Bisection on gamma, the independent reference for hinf_norm:
+    gamma exceeds the norm iff [[A, B B^T / gamma^2], [-C^T C, -A^T]]
+    has no eigenvalue within imag_axis (1 + ||H||_2) of the imaginary
+    axis.  The bracket is seeded from a 120-point log sweep plus DC and
+    the pole frequencies and doubled until it holds the norm; returns
+    its midpoint, within tol / 2 relative.  About 22 Hamiltonian
+    eigensolves and 120 + n frequency responses per call."""
+    n = A.shape[0]
+
+    def gain(omega):
+        G = C @ np.linalg.solve(1j * omega * np.eye(n) - A, B)
+        return np.linalg.svd(G, compute_uv=False)[0]
+
+    omegas = np.concatenate(
+        [[0.0], np.logspace(-4, 4, 120), np.abs(np.linalg.eigvals(A).imag)]
+    )
+    lo = max(gain(w) for w in omegas)
+    assert lo > 0.0
+
+    def no_axis_crossing(gamma):
+        H = np.block([[A, B @ B.T / gamma**2], [-C.T @ C, -A.T]])
+        band = imag_axis * (1.0 + np.linalg.norm(H, 2))
+        return not np.any(np.abs(np.linalg.eigvals(H).real) < band)
+
+    hi = 2.0 * lo
+    while not no_axis_crossing(hi):
+        hi *= 2.0
+        assert hi < 1e15 * lo
+    while (hi - lo) > tol * lo:
+        mid = 0.5 * (lo + hi)
+        if no_axis_crossing(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def random_stable(rng, n, margin=0.5):
@@ -233,6 +285,14 @@ class TestH2Norm:
         with pytest.raises(NotHurwitz):
             h2_norm([[0.0]], [[1.0]], [[1.0]])
 
+    @pytest.mark.parametrize("B, C", [
+        ([[1.0], [0.0]], [[1.0, 0.0, 0.0]]),  # C has a column too many
+        ([[1.0]], [[1.0, 0.0]]),  # B has a row too few
+    ])
+    def test_shape_mismatch(self, B, C):
+        with pytest.raises(DimensionMismatch):
+            h2_norm(-np.eye(2), B, C)
+
     def test_impulse_energy_oracle(self):
         # ||G||_H2^2 = integral of ||C e^{At} B||_F^2
         rng = np.random.default_rng(13)
@@ -308,6 +368,136 @@ class TestHinfNorm:
             cascade = hinf_norm(A, B, C, tol=1e-8)
             product = hinf_norm(A1, B1, C1, tol=1e-8) * hinf_norm(A2, B2, C2, tol=1e-8)
             assert cascade <= product + 1e-9
+
+
+def two_resonances():
+    """1/(s^2 + 0.1 s + 1) + 300/(s^2 + s + 100): both modes have damping
+    0.05, so the start frequency is the lower resonance (gain about 10.5),
+    while the norm (about 30.0) sits at the upper one."""
+    A = sla.block_diag([[0.0, 1], [-1, -0.1]], [[0.0, 1], [-100, -1]])
+    B = np.array([[0.0], [1], [0], [300]])
+    C = np.array([[1.0, 0, 1, 0]])
+    return A, B, C
+
+
+@pytest.fixture
+def eig_shapes(monkeypatch):
+    """Shapes of the matrices np.linalg.eigvals is called on."""
+    shapes = []
+    original = np.linalg.eigvals
+
+    def counting(M):
+        shapes.append(np.shape(M))
+        return original(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return shapes
+
+
+class TestHinfLevelSet:
+    """hinf_norm against the bisection oracle: the level set returns
+    (1 + tol) lo with the norm in [lo, (1 + 2 tol) lo], and the oracle is
+    within tol / 2, so the two agree to 1.5 hinf_rel."""
+
+    AGREE = 1.5 * DEFAULT.hinf_rel
+
+    @pytest.fixture(scope="class")
+    def designs(self):
+        full, partial = triple_integrator_full_state(), triple_integrator()
+        return [
+            (full, synthesize_p1(full, 4.0), assemble_p1),
+            (partial, synthesize_p2(partial, 4.0, delta_hint=0.0004), assemble_p2),
+        ]
+
+    def assert_matches_oracle(self, A, B, C):
+        val = hinf_norm(A, B, C)
+        assert val == pytest.approx(hinf_bisection(A, B, C), rel=self.AGREE)
+
+    @pytest.mark.parametrize("graph", [case1_graph, case2_graph])
+    def test_case_loops(self, designs, graph):
+        lp = laplacian(graph())
+        for model, real, assemble in designs:
+            cl = assemble(model, real, lp)
+            self.assert_matches_oracle(cl.A_cl, cl.B_cl, cl.C_cl)
+
+    def test_random_digraph_loops(self, designs):
+        rng = np.random.default_rng(23)
+        for _ in range(6):
+            g, _ = random_spanning_tree_graph(rng, int(rng.integers(2, 13)))
+            lp = laplacian(g)
+            for model, real, assemble in designs:
+                cl = assemble(model, real, lp)
+                self.assert_matches_oracle(cl.A_cl, cl.B_cl, cl.C_cl)
+
+    @pytest.mark.parametrize("margin", [0.5, 1e-3])
+    def test_random_systems(self, margin):
+        # margin 1e-3 gives peaks near 1e4: in the unscaled Hamiltonian
+        # [[A, B B^T / gamma^2], [-C^T C, -A^T]] their crossings drift
+        # off the axis by more than imag_axis relative
+        rng = np.random.default_rng(49)
+        for _ in range(30):
+            n = int(rng.integers(2, 12))
+            A = random_stable(rng, n, margin)
+            self.assert_matches_oracle(
+                A, rng.standard_normal((n, 2)), rng.standard_normal((2, n))
+            )
+
+    def test_two_resonances_take_several_steps(self, eig_shapes):
+        A, B, C = two_resonances()
+        val = hinf_norm(A, B, C)
+        assert eig_shapes.count((8, 8)) >= 2
+        assert val == pytest.approx(hinf_bisection(A, B, C), rel=self.AGREE)
+        assert val > 30.0
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_HINF_MAX_STEPS", 1)
+        with pytest.raises(H2SyncError, match="did not stop"):
+            hinf_norm(*two_resonances())
+
+    def test_case2_p2_eigensolve_count(self, designs, eig_shapes):
+        # bisection needed about 22 Hamiltonian eigensolves here
+        model, real, assemble = designs[1]
+        cl = assemble(model, real, laplacian(case2_graph()))
+        hinf_norm(cl.A_cl, cl.B_cl, cl.C_cl)
+        dim = 2 * cl.A_cl.shape[0]
+        assert 1 <= eig_shapes.count((dim, dim)) <= 6
+
+    @staticmethod
+    def s_over_s1_s2():
+        """s / ((s + 1)(s + 2)): zero DC gain, peak 1/3 at omega = sqrt(2)."""
+        return np.array([[0.0, 1], [-2, -3]]), np.array([[0.0], [1]]), np.array([[0.0, 1]])
+
+    def test_vanishing_at_dc(self):
+        assert hinf_norm(*self.s_over_s1_s2()) == pytest.approx(1.0 / 3.0, rel=self.AGREE)
+
+    def test_vanishing_at_both_start_frequencies(self, monkeypatch):
+        # start at DC twice, where the gain is exactly zero: the level
+        # comes from the Hankel norm instead
+        A, B, C = self.s_over_s1_s2()
+        assert linalg._gain_at(A, B, C, 0.0) == 0.0
+        monkeypatch.setattr(linalg, "_resonant_frequency", lambda spectrum: 0.0)
+        assert hinf_norm(A, B, C) == pytest.approx(1.0 / 3.0, rel=self.AGREE)
+
+    @pytest.mark.parametrize("A", [
+        np.diag([-1.0, -2.0]),  # uncontrollable second state
+        np.array([[-1.0, 1], [0, -2]]),  # x2 is observed, never driven
+    ])
+    def test_identically_zero_map(self, A):
+        assert hinf_norm(A, [[1.0], [0.0]], [[0.0, 1.0]]) == 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, np.nan, np.inf])
+    def test_tol_outside_open_unit_interval_rejected(self, tol):
+        with pytest.raises(DimensionMismatch, match="tol"):
+            hinf_norm([[-1.0]], [[1.0]], [[1.0]], tol=tol)
+
+    @pytest.mark.parametrize("A, B, C", [
+        (-np.eye(2), [[1.0]], [[1.0, 0.0]]),
+        (-np.eye(2), [[1.0], [0.0]], [[1.0]]),
+        ([[-1.0, 0.0]], [[1.0]], [[1.0, 0.0]]),
+    ])
+    def test_shape_mismatch(self, A, B, C):
+        with pytest.raises(DimensionMismatch):
+            hinf_norm(A, B, C)
 
 
 class TestHurwitz:
