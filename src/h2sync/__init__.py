@@ -67,8 +67,10 @@ from .linalg import (
     spectral_abscissa,
 )
 from .protocol import (
+    ProtocolDesign,
     ProtocolRealization,
     controller_matrices,
+    design,
     parse_realization,
     realization_to_text,
     synthesize_p1,

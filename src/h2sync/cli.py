@@ -25,7 +25,7 @@ from .errors import (
 )
 from .graph import parse_graph
 from .linalg import require_rho
-from .protocol import realization_to_text, synthesize_p1, synthesize_p2
+from .protocol import design, realization_to_text
 from .sim import SimConfig, _max_pair_error, rms, trajectory_blocks
 
 EXIT_OK = 0
@@ -147,18 +147,13 @@ def cmd_check(args):
     return EXIT_OK
 
 
-def _synthesize(model, kind, rho, delta):
-    if kind == "p1":
-        return synthesize_p1(model, rho)
-    return synthesize_p2(model, rho, delta_hint=delta)
-
-
 def cmd_synth(args):
     model = _load_model(args)
     out = _outdir(args)
     _write_config(out, args)
+    des = design(model, args.protocol)
     for rho in args.rho:
-        real = _synthesize(model, args.protocol, rho, args.delta)
+        real = des.realize(rho, args.delta)
         path = out / f"protocol_{args.protocol}_rho{rho:g}.txt"
         path.write_text(realization_to_text(real))
         print(f"rho={rho:g}: wrote {path}" + (
@@ -168,7 +163,6 @@ def cmd_synth(args):
 
 def cmd_analyze(args):
     model, g = _load_model(args), _load_graph(args)
-    full_report(model, g).require()
     rows = rho_scaling_probe(model, g, args.protocol, args.rho, delta=args.delta)
     csv = probe_to_csv(rows)
     out = _outdir(args)
@@ -205,12 +199,12 @@ def _write_trajectory(cfg, path):
     return np.concatenate(sync)
 
 
-def _run_simulations(model, g, kind, rhos, delta, args, out, case_name):
+def _run_simulations(des, g, rhos, delta, args, out, case_name):
     summary = ["case,rho,delta,seed,rms_sync_error"]
     for rho in rhos:
-        real = _synthesize(model, kind, rho, delta)
+        real = des.realize(rho, delta)
         cfg = SimConfig(
-            model=model, graph=g, protocol=real,
+            model=des.model, graph=g, protocol=real,
             t_final=args.t_final, dt=args.dt, noise=args.noise,
             seed=args.seed, integrator=args.integrator,
         )
@@ -225,20 +219,18 @@ def _run_simulations(model, g, kind, rhos, delta, args, out, case_name):
 
 def cmd_simulate(args):
     model, g = _load_model(args), _load_graph(args)
-    full_report(model, g).require()
+    des = design(model, args.protocol, g)
     out = _outdir(args)
     _write_config(out, args)
-    return _run_simulations(model, g, args.protocol, args.rho, args.delta,
-                            args, out, "custom")
+    return _run_simulations(des, g, args.rho, args.delta, args, out, "custom")
 
 
 def cmd_reproduce(args, which):
-    model = cases.triple_integrator()
     g = cases.case1_graph() if which == 1 else cases.case2_graph()
     out = _outdir(args)
     _write_config(out, args)
-    return _run_simulations(model, g, "p2", cases.CASE_RHOS, cases.CASE_DELTA,
-                            args, out, f"case{which}")
+    return _run_simulations(design(cases.triple_integrator(), "p2", g), g, cases.CASE_RHOS,
+                            cases.CASE_DELTA, args, out, f"case{which}")
 
 
 def main(argv=None):

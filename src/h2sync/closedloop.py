@@ -42,7 +42,7 @@ from .conditions import AgentModel
 from .errors import DimensionMismatch, NotHurwitz
 from .graph import CommGraph, LaplacianPair, laplacian
 from .linalg import h2_norm, require_hurwitz, require_lyapunov_residual, spectral_abscissa
-from .protocol import ProtocolRealization, controller_matrices, synthesize_p1, synthesize_p2
+from .protocol import ProtocolRealization, controller_matrices, design
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -413,23 +413,18 @@ def error_h2(cl: ClosedLoop, tols: Tolerances = DEFAULT):
 
 def rho_scaling_probe(model: AgentModel, g: CommGraph, kind: str, rho_list,
                       delta=None, tols: Tolerances = DEFAULT):
-    """Synthesize + assemble + measure for each rho.
+    """Design once, then realize + assemble + measure for each rho.
 
     Returns a list of (rho, h2, rho*h2, spectral_abscissa) rows,
     ordered by rho.  For p2, `delta` fixes the low-gain parameter;
     None means the halving search runs per rho.
     """
+    des = design(model, kind, g, tols)
+    assemble = assemble_p1 if kind == "p1" else assemble_p2
     lp = laplacian(g)
     rows = []
     for rho in sorted(rho_list):
-        if kind == "p1":
-            real = synthesize_p1(model, rho, tols)
-            cl = assemble_p1(model, real, lp)
-        elif kind == "p2":
-            real = synthesize_p2(model, rho, delta_hint=delta, tols=tols)
-            cl = assemble_p2(model, real, lp)
-        else:
-            raise DimensionMismatch(f"unknown protocol kind {kind!r}")
+        cl = assemble(model, des.realize(rho, delta), lp)
         h2 = error_h2(cl, tols)
         rows.append((rho, h2, rho * h2, spectral_abscissa(cl.A_cl)))
     return rows

@@ -124,10 +124,8 @@ def _solve_care(A, mid, Q, residual_cap, tols):
     """
     n = A.shape[0]
     H = np.block([[A, -mid], [-Q, -A.T]])
-    h_scale = 1.0 + np.linalg.norm(H, 2)
-
     ham_eigs = np.linalg.eigvals(H)
-    on_axis = ham_eigs[np.abs(ham_eigs.real) < tols.imag_axis * h_scale]
+    on_axis = ham_eigs[_on_imag_axis(ham_eigs, tols)]
     if on_axis.size:
         raise NoStabilizingSolution(
             "Hamiltonian has eigenvalues on the imaginary axis: "

@@ -3,7 +3,11 @@
 Both protocols are parameterized by a single scalar rho >= 1 and are
 built from the agent model alone; the communication graph and the
 number of agents never enter the synthesis (that is what makes the
-design scale-free).
+design scale-free).  Per model, `design` checks the solvability
+conditions and solves the control CARE for P, which does not depend on
+rho; per rho, `ProtocolDesign.realize` solves the Protocol 2 filter
+Riccati equation and searches delta.  `synthesize_p1` and
+`synthesize_p2` run both steps for one rho.
 
 Protocol 1 (full-state coupling): controller state chi with
     dchi = A chi + B u + rho*zeta - rho*zetahat,   u = -rho B^T P chi
@@ -31,11 +35,14 @@ from .errors import (
     PreconditionFailed,
     RhoOutOfRange,
 )
+from .graph import CommGraph
 from .linalg import require_rho, solve_care_standard, solve_filter_riccati
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
+    "ProtocolDesign",
     "ProtocolRealization",
+    "design",
     "synthesize_p1",
     "synthesize_p2",
     "controller_matrices",
@@ -44,6 +51,9 @@ __all__ = [
 ]
 
 DELTA_SEARCH_FLOOR = 1e-12
+# the delta search sequence 1, 1/2, 1/4, ... above the floor, out of
+# every power of two a double holds
+_HALVING = tuple(2.0**-k for k in range(1075) if 2.0**-k > DELTA_SEARCH_FLOOR)
 
 
 @dataclass
@@ -91,71 +101,72 @@ def _check_block(label, M, n):
         raise DimensionMismatch(f"{label} is not symmetric (Frobenius asymmetry {asym:.3g})")
 
 
-def synthesize_p1(model: AgentModel, rho: float, tols: Tolerances = DEFAULT):
-    """Protocol 1 synthesis for a full-state-coupling model."""
-    require_rho(rho)
-    if model.coupling_kind != "full-state":
+@dataclass
+class ProtocolDesign:
+    """A model that passed the conditions of protocol `kind`, with the
+    CARE solution P; built by `design`, realized per rho by `realize`."""
+
+    model: AgentModel
+    kind: str
+    P: np.ndarray
+    tols: Tolerances
+
+    def realize(self, rho: float, delta: Optional[float] = None):
+        """The realization for one rho.  For p2, `delta` fixes the
+        low-gain parameter and None takes the largest of 1, 1/2, 1/4, ...
+        whose filter Riccati passes; p1 has no delta and ignores it."""
+        require_rho(rho)
+        if self.kind == "p1":
+            return ProtocolRealization(kind="p1", rho=float(rho), P=self.P)
+        m = self.model
+        diagnostics = []
+        for d in _HALVING if delta is None else (delta,):
+            try:
+                Q = solve_filter_riccati(m.A, m.E, m.C, rho, d, self.tols).solution
+            except NoStabilizingSolution as exc:
+                diagnostics.append((d, f"no stabilizing solution ({exc})"))
+            except NotPositiveDefinite as exc:
+                diagnostics.append((d, f"not positive definite ({exc})"))
+            else:
+                return ProtocolRealization("p2", float(rho), self.P, float(d), Q)
+        raise DeltaSearchExhausted(
+            f"no feasible delta found down to {DELTA_SEARCH_FLOOR} for rho={rho}"
+            if delta is None else
+            f"filter Riccati failed at the given delta={delta}: {diagnostics[0][1]}",
+            diagnostics=diagnostics,
+        )
+
+
+def design(model: AgentModel, kind: str, g: Optional[CommGraph] = None,
+           tols: Tolerances = DEFAULT) -> ProtocolDesign:
+    """Per-model half of synthesis: check the conditions of protocol
+    `kind` once (with the spanning-tree condition when a graph is given)
+    and solve the control CARE once.  p1 also needs full-state coupling."""
+    if kind not in ("p1", "p2"):
+        raise DimensionMismatch(f"unknown protocol kind {kind!r}")
+    if kind == "p1" and model.coupling_kind != "full-state":
         raise PreconditionFailed(
             "Protocol 1 requires full-state coupling (C = I)", condition="(coupling)"
         )
-    full_report(model, tols=tols).require()
+    # the partial-state conditions apply to C = I models as well under p2
+    coupling = "full-state" if kind == "p1" else "partial-state"
+    full_report(replace(model, coupling_kind=coupling), g, tols).require()
     care = solve_care_standard(model.A, model.B, tols)
-    return ProtocolRealization(kind="p1", rho=float(rho), P=care.solution)
+    return ProtocolDesign(model=model, kind=kind, P=care.solution, tols=tols)
 
 
-def _try_delta(model, rho, delta, tols):
-    """One filter-Riccati attempt; returns (Q or None, reason)."""
-    try:
-        res = solve_filter_riccati(model.A, model.E, model.C, rho, delta, tols)
-        return res.solution, "ok"
-    except NoStabilizingSolution as exc:
-        return None, f"no stabilizing solution ({exc})"
-    except NotPositiveDefinite as exc:
-        return None, f"not positive definite ({exc})"
+def synthesize_p1(model: AgentModel, rho: float, tols: Tolerances = DEFAULT):
+    """Protocol 1 synthesis for a full-state-coupling model."""
+    require_rho(rho)
+    return design(model, "p1", tols=tols).realize(rho)
 
 
-def synthesize_p2(
-    model: AgentModel,
-    rho: float,
-    delta_hint: Optional[float] = None,
-    tols: Tolerances = DEFAULT,
-):
+def synthesize_p2(model: AgentModel, rho: float, delta_hint: Optional[float] = None,
+                  tols: Tolerances = DEFAULT):
     """Protocol 2 synthesis; searches delta by geometric halving from 1
     unless delta_hint is given."""
     require_rho(rho)
-    # the partial-state conditions apply to C = I models as well
-    full_report(replace(model, coupling_kind="partial-state"), tols=tols).require()
-
-    care = solve_care_standard(model.A, model.B, tols)
-
-    if delta_hint is not None:
-        Q, reason = _try_delta(model, rho, delta_hint, tols)
-        if Q is None:
-            raise DeltaSearchExhausted(
-                f"filter Riccati failed at the given delta={delta_hint}: {reason}",
-                diagnostics=[(delta_hint, reason)],
-            )
-        return ProtocolRealization(
-            kind="p2", rho=float(rho), P=care.solution,
-            delta=float(delta_hint), Q_rho=Q,
-        )
-
-    # largest passing delta in the halving sequence 1, 1/2, 1/4, ...
-    diagnostics = []
-    delta = 1.0
-    while delta > DELTA_SEARCH_FLOOR:
-        Q, reason = _try_delta(model, rho, delta, tols)
-        diagnostics.append((delta, reason))
-        if Q is not None:
-            return ProtocolRealization(
-                kind="p2", rho=float(rho), P=care.solution,
-                delta=float(delta), Q_rho=Q,
-            )
-        delta *= 0.5
-    raise DeltaSearchExhausted(
-        f"no feasible delta found down to {DELTA_SEARCH_FLOOR} for rho={rho}",
-        diagnostics=diagnostics,
-    )
+    return design(model, "p2", tols=tols).realize(rho, delta_hint)
 
 
 def controller_matrices(real: ProtocolRealization, model: AgentModel):

@@ -15,9 +15,9 @@ class Tolerances:
     filter_residual: float = 1e-8
     # Lyapunov residual cap, scaled by (1 + ||A||_2) * (1 + ||X||_2)
     lyapunov_residual: float = 1e-10
-    # "on the imaginary axis": |Re(lambda)| below imag_axis * (1 + ||H||_2)
-    # in the Riccati pre-check, |Re(lambda)| at most imag_axis * |lambda|
-    # for the crossings of the H-infinity level set
+    # "on the imaginary axis": |Re(lambda)| at most imag_axis * |lambda|,
+    # for the Hamiltonian eigenvalues of the Riccati pre-check and the
+    # crossings of the H-infinity level set alike
     imag_axis: float = 1e-9
     # rank decisions: singular values below rank_rel * sigma_max are zero
     rank_rel: float = 1e-9

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import h2sync.cli as cli
+import h2sync.protocol as protocol
 import h2sync.sim as sim
 from h2sync.cases import (
     CASE_DELTA,
@@ -12,6 +13,7 @@ from h2sync.cases import (
     triple_integrator_full_state,
 )
 from h2sync.cli import main
+from h2sync.closedloop import rho_scaling_probe
 from h2sync.conditions import model_to_text
 from h2sync.errors import Diverged
 from h2sync.graph import graph_to_text
@@ -282,6 +284,49 @@ class TestSolvabilityGate:
         err = capsys.readouterr().err
         assert err.startswith("solvability error:")
         assert "(d) spanning_tree" in err and "(c)" not in err
+
+
+class TestOneDesignPerRhoList:
+    """A rho list takes the solvability report and the control CARE once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"full_report": 0, "solve_care_standard": 0}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(protocol, "full_report")
+        count(cli, "full_report")
+        count(protocol, "solve_care_standard")
+        return calls
+
+    @pytest.mark.parametrize("command", [
+        ["synth", "--protocol", "p2", "--rho", "1,2,4"],
+        ["analyze", "--graph", "G", "--protocol", "p2", "--rho", "4,6,10",
+         "--delta", "0.0004"],
+        ["simulate", "--graph", "G", "--protocol", "p2", "--rho", "4,6,10",
+         "--delta", "0.0004", "--t-final", "0.1"],
+        ["reproduce-case1", "--t-final", "0.1"],
+    ], ids=lambda argv: argv[0])
+    def test_cli(self, command, ref_files, calls, capsys):
+        model, graph, tmp = ref_files
+        argv = [graph if a == "G" else a for a in command] + ["--out", str(tmp / "out")]
+        if command[0] != "reproduce-case1":
+            argv += ["--model", model]
+        assert main(argv) == 0
+        assert calls == {"full_report": 1, "solve_care_standard": 1}
+
+    def test_rho_scaling_probe(self, calls):
+        rho_scaling_probe(triple_integrator(), case1_graph(), "p2", [4.0, 6.0, 10.0],
+                          delta=CASE_DELTA)
+        assert calls == {"full_report": 1, "solve_care_standard": 1}
 
 
 class TestBoundary:

@@ -27,7 +27,7 @@ from h2sync.closedloop import (
     rho_scaling_probe,
 )
 from h2sync.conditions import AgentModel
-from h2sync.errors import DimensionMismatch, NotHurwitz
+from h2sync.errors import DimensionMismatch, NotHurwitz, PreconditionFailed
 from h2sync.graph import CommGraph, laplacian
 from h2sync.linalg import h2_norm, hinf_norm, is_hurwitz, spectral_abscissa
 from h2sync.protocol import synthesize_p1, synthesize_p2
@@ -368,6 +368,24 @@ class TestScalingProbe:
         h2s = [h2 for _, h2, _, _ in rows]
         assert all(a > b for a, b in zip(h2s, h2s[1:]))
         assert all(absc < 0 for *_, absc in rows)
+
+    @pytest.mark.parametrize("graph", [case1_graph, case2_graph])
+    def test_p2_h2_decreases_up_to_rho_128(self, graph):
+        rows = rho_scaling_probe(triple_integrator(), graph(), "p2",
+                                 [2.0**k for k in range(8)])
+        h2s = [h2 for _, h2, _, _ in rows]
+        assert all(a > b for a, b in zip(h2s, h2s[1:]))
+
+    @pytest.mark.parametrize("kind,model,letter", [
+        ("p1", triple_integrator_full_state, "(c)"),
+        ("p2", triple_integrator, "(d)"),
+    ])
+    def test_no_spanning_tree_refused(self, kind, model, letter):
+        disconnected = CommGraph(np.array([[0, 0, 0, 0], [1.0, 0, 0, 0],
+                                           [0, 0, 0, 0], [0, 0, 1.0, 0]]))
+        with pytest.raises(PreconditionFailed) as exc:
+            rho_scaling_probe(model(), disconnected, kind, [4.0])
+        assert exc.value.condition == letter
 
     def test_two_agent_scalar_closed_form(self):
         # hand Lyapunov solve gives H2 = sqrt(5 / (2 rho))

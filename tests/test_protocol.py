@@ -44,6 +44,19 @@ def clhp_stabilizable_model(rng, n):
     return AgentModel.full_state(A, B, B.copy())
 
 
+def assert_filter_certificates(m, real):
+    """Success of a p2 synthesis is defined by the returned certificates:
+    the filter Riccati residual under its cap, Q > 0 and a Hurwitz filter."""
+    delta, Q = real.delta, real.Q_rho
+    resid = (
+        Q @ m.A.T + m.A @ Q + m.E @ m.E.T
+        - (Q @ m.C.T @ m.C @ Q) / delta**2 + real.rho**2 * Q @ Q
+    )
+    assert np.linalg.norm(resid, 2) < 1e-8 * (1 + np.linalg.norm(m.A, 2)) ** 2
+    assert np.linalg.eigvalsh(Q).min() > 0
+    assert spectral_abscissa(m.A - (Q @ m.C.T @ m.C) / delta**2) < 0
+
+
 class TestSynthesizeP1:
     def test_scalar(self):
         real = synthesize_p1(scalar_model_full(), 1.0)
@@ -99,24 +112,21 @@ class TestSynthesizeP2:
 
     def test_auto_delta(self):
         m = triple_integrator()
-        real = synthesize_p2(m, 10.0)
-        # success is defined by the returned certificates
-        delta, Q = real.delta, real.Q_rho
-        resid = (
-            Q @ m.A.T + m.A @ Q + m.E @ m.E.T
-            - (Q @ m.C.T @ m.C @ Q) / delta**2 + real.rho**2 * Q @ Q
-        )
-        assert np.linalg.norm(resid, 2) < 1e-8 * (1 + np.linalg.norm(m.A, 2)) ** 2
-        assert np.linalg.eigvalsh(Q).min() > 0
-        assert spectral_abscissa(m.A - (Q @ m.C.T @ m.C) / delta**2) < 0
+        assert_filter_certificates(m, synthesize_p2(m, 10.0))
 
-    def test_auto_delta_is_largest_passing_halving(self):
+    # rho <= 32 pins the searched delta.  At rho = 64 and 128, ||H|| ~
+    # delta^-2 is near 1e14, so a Riccati axis pre-check with a band
+    # scaled by ||H|| rejects these delta before any certificate
+    @pytest.mark.parametrize("rho", [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0])
+    def test_auto_delta_is_largest_passing_halving(self, rho):
         m = triple_integrator()
-        real = synthesize_p2(m, 4.0)
-        assert real.delta == 2.0**-8  # first passing value halving from 1
+        real = synthesize_p2(m, rho)
+        k = 3 * int(np.log2(rho)) + 2
+        assert real.delta == 2.0**-k  # first passing value halving from 1
+        assert_filter_certificates(m, real)
         # the next-larger candidate in the sequence must fail
         with pytest.raises(DeltaSearchExhausted):
-            synthesize_p2(m, 4.0, delta_hint=2.0**-7)
+            synthesize_p2(m, rho, delta_hint=2.0 ** (1 - k))
 
     def test_nonminphase_rejected(self):
         A = np.array([[0.0, 1], [0, 0]])
