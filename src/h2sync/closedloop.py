@@ -4,8 +4,8 @@ Two independent assembly paths are provided on purpose:
 
 * `assemble_p1` / `assemble_p2` write the system in synchronization-
   error coordinates (the compact Hurwitz form the analysis works on)
-  once, as `ModeData`, and derive the dense A_cl, B_cl, C_cl from it
-  with `ModeData.dense`;
+  once, as `ModeData`; the dense A_cl, B_cl, C_cl are derived from it
+  (`ModeData.dense`, agent by agent) only when read;
 * `assemble_stacked` builds the raw network of N plants plus their
   controllers straight from the protocol's canonical (Ac, Bc, Cc, Fc,
   Hc) form and the full Laplacian; `reduce_to_differences` then
@@ -41,7 +41,7 @@ from scipy.linalg.lapack import zgees as _gees, ztrsyl as _trsyl
 from .conditions import AgentModel
 from .errors import DimensionMismatch, NotHurwitz
 from .graph import CommGraph, LaplacianPair, laplacian
-from .linalg import h2_norm, require_hurwitz, require_lyapunov_residual, spectral_abscissa
+from .linalg import h2_norm, require_hurwitz, require_lyapunov_residual
 from .protocol import ProtocolRealization, controller_matrices, design
 from .tolerances import DEFAULT, Tolerances
 
@@ -97,28 +97,16 @@ class ModeData:
         """Slice of the states of block i within an agent."""
         return slice(i * self.n, (i + 1) * self.n)
 
-    def dense(self, order):
-        """The loop as dense (A_cl, B_cl, C_cl) in block-major order:
-        block order[0] of every agent, then block order[1], and so on.
-
-        Block (r, c) of A_cl is I (x) D_rc, less rho Lbar (x) I on the
-        coupled block; block r of B_cl is sum_a M[a] (x) E[a]_r; C_cl
-        selects the output block.
-        """
-        m, n = self.L_reduced.shape[0], self.n
-        size = m * n
-        span = [slice(r * size, (r + 1) * size) for r in range(len(order))]
-        A = np.zeros((len(order) * size,) * 2)
-        B = np.zeros((len(order) * size, self.M.shape[2] * self.E.shape[2]))
-        C = np.zeros((size, len(order) * size))
-        for r, i in enumerate(order):
-            for c, j in enumerate(order):
-                A[span[r], span[c]] = np.kron(np.eye(m), self.D[self.block(i), self.block(j)])
-            for M, E in zip(self.M, self.E):
-                B[span[r]] += np.kron(M, E[self.block(i)])
-        e = span[order.index(self.coupled)]
-        A[e, e] -= self.rho * np.kron(self.L_reduced, np.eye(n))
-        C[:, span[order.index(self.output)]] = np.eye(size)
+    def dense(self):
+        """The loop as dense (A_cl, B_cl, C_cl), agent by agent, exactly
+        as the class docstring writes it."""
+        m, d = self.L_reduced.shape[0], self.D.shape[0]
+        S = np.zeros((d, d))
+        S[self.block(self.coupled), self.block(self.coupled)] = np.eye(self.n)
+        A = np.kron(np.eye(m), self.D)  # in place below: one A-sized temporary
+        A -= np.kron(self.rho * self.L_reduced, S)  # = rho (Lbar (x) S): S is 0 or 1
+        B = sum(np.kron(M, E) for M, E in zip(self.M, self.E))
+        C = np.kron(np.eye(m), np.eye(d)[self.block(self.output)])
         return A, B, C
 
 
@@ -128,19 +116,30 @@ class ClosedLoop:
 
     coordinates is "error-form" (difference coordinates, Hurwitz when
     the design conditions hold) or "stacked-form" (raw network,
-    marginally stable along the synchronized motion).  labels describes
-    the state blocks.  modes, set by the error-form assemblers, is the
-    loop in the per-agent form of `ModeData`, from which A_cl, B_cl and
-    C_cl are derived (`ModeData.dense`).
+    marginally stable along the synchronized motion).  A loop holds its
+    dense A_cl, B_cl, C_cl, or (from the error-form assemblers) only
+    modes, the `ModeData` they are derived from on first read and kept.
     """
 
-    A_cl: np.ndarray
-    B_cl: np.ndarray
-    C_cl: np.ndarray
+    A_cl: np.ndarray | None
+    B_cl: np.ndarray | None
+    C_cl: np.ndarray | None
     n_agents: int
     coordinates: str
-    labels: str
     modes: ModeData | None = None
+
+    def __post_init__(self):
+        given = [M is not None for M in (self.A_cl, self.B_cl, self.C_cl)]
+        if self.modes is not None and not any(given):
+            del self.A_cl, self.B_cl, self.C_cl  # see __getattr__
+        elif not all(given):
+            raise DimensionMismatch("a loop needs its ModeData or all of A_cl, B_cl, C_cl")
+
+    def __getattr__(self, name):  # reached only for a triple left to the modes
+        if name not in ("A_cl", "B_cl", "C_cl"):
+            raise AttributeError(name)
+        self.A_cl, self.B_cl, self.C_cl = self.modes.dense()
+        return getattr(self, name)
 
 
 def _check_dims(model: AgentModel, real: ProtocolRealization, kind: str):
@@ -155,8 +154,8 @@ def _check_dims(model: AgentModel, real: ProtocolRealization, kind: str):
 
 
 def assemble_p1(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair):
-    """Error-form closed loop for Protocol 1: states (xbar, e), each of
-    dimension (N-1)n, with e = xbar - chibar.
+    """Error-form closed loop for Protocol 1, as `ModeData`: per agent
+    the states (xbar, e), each of dimension n, with e = xbar - chibar.
 
         dxbar = [I (x) (A - rho BB^T P)] xbar + rho [I (x) BB^T P] e + (Pi (x) E) w
         de    = [I (x) A - rho Lbar (x) I] e + (Pi (x) E) w
@@ -164,21 +163,20 @@ def assemble_p1(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
     _check_dims(model, real, "p1")
     n, rho = model.n, real.rho
     BBtP = model.B @ model.B.T @ real.P
-    # per agent (xbar, e)
     modes = ModeData(
         D=np.block([[model.A - rho * BBtP, rho * BBtP],
                     [np.zeros((n, n)), model.A]]),
         n=n, coupled=1, output=0, rho=rho, L_reduced=lp.L_reduced,
         M=lp.Pi[None], E=np.vstack([model.E, model.E])[None],
     )
-    return ClosedLoop(*modes.dense((0, 1)), lp.n_agents, "error-form",
-                      "xbar | e = xbar - chibar", modes)
+    return ClosedLoop(None, None, None, lp.n_agents, "error-form", modes)
 
 
 def assemble_p2(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair):
-    """Error-form closed loop for Protocol 2: states (xbar, ebar, e),
-    each of dimension (N-1)n, with e = xbar - chibar and
-    ebar = (Lbar (x) I) xbar - xtilde.
+    """Error-form closed loop for Protocol 2, as `ModeData`: per agent
+    the states (xbar, e, ebar), each of dimension n, with
+    e = xbar - chibar and ebar = (Lbar (x) I) xbar - xtilde; this order
+    makes D block upper triangular.
 
         dxbar = [I (x) (A - rho BB^T P)] xbar + rho [I (x) BB^T P] e + (Pi (x) E) w
         debar = [I (x) (A - delta^-2 Q C^T C)] ebar + (Lbar Pi (x) E) w
@@ -188,8 +186,6 @@ def assemble_p2(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
     n, rho = model.n, real.rho
     BBtP = model.B @ model.B.T @ real.P
     filt = model.A - (real.Q_rho @ model.C.T @ model.C) / real.delta**2
-    # per agent (xbar, e, ebar), the order that makes D block triangular;
-    # the dense form keeps the states (xbar, ebar, e)
     zn, zE = np.zeros((n, n)), np.zeros_like(model.E)
     modes = ModeData(
         D=np.block([[model.A - rho * BBtP, rho * BBtP, zn],
@@ -199,11 +195,7 @@ def assemble_p2(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
         M=np.stack([lp.Pi, lp.L_reduced @ lp.Pi]),
         E=np.stack([np.vstack([model.E, model.E, zE]), np.vstack([zE, zE, model.E])]),
     )
-    return ClosedLoop(
-        *modes.dense((0, 2, 1)), lp.n_agents, "error-form",
-        "xbar | ebar = (Lbar (x) I) xbar - xtilde | e = xbar - chibar",
-        modes,
-    )
+    return ClosedLoop(None, None, None, lp.n_agents, "error-form", modes)
 
 
 def assemble_stacked(model: AgentModel, real: ProtocolRealization, g: CommGraph):
@@ -232,10 +224,7 @@ def assemble_stacked(model: AgentModel, real: ProtocolRealization, g: CommGraph)
         np.kron(lp.Pi, np.eye(n)),
         np.zeros(((N - 1) * n, N * nc)),
     ])
-    return ClosedLoop(
-        A_cl, B_cl, C_cl, N, "stacked-form",
-        f"x (N blocks of {n}) | x_c (N blocks of {nc})",
-    )
+    return ClosedLoop(A_cl, B_cl, C_cl, N, "stacked-form")
 
 
 def reduce_to_differences(cl: ClosedLoop, model: AgentModel,
@@ -275,10 +264,7 @@ def reduce_to_differences(cl: ClosedLoop, model: AgentModel,
     A_red = A_t[np.ix_(keep, keep)]
     B_red = B_t[keep]
     C_red = C_t[:, keep]
-    return ClosedLoop(
-        A_red, B_red, C_red, N, "error-form",
-        "xbar | controller-state differences",
-    )
+    return ClosedLoop(A_red, B_red, C_red, N, "error-form")
 
 
 def _herm(M):
@@ -301,7 +287,8 @@ def _no_sort(_):
 
 
 def _modal_h2(md: ModeData, tols: Tolerances):
-    """H2 norm of a `ModeData` loop by mode-level Bartels-Stewart.
+    """(H2 norm, spectrum) of a `ModeData` loop by mode-level
+    Bartels-Stewart; the spectrum is the union of the mode spectra.
 
     With Lbar = U T U^H (complex Schur; Lbar may be defective, so no
     eigendecomposition) and Q the block-diagonal unitary that takes
@@ -391,7 +378,7 @@ def _modal_h2(md: ModeData, tols: Tolerances):
     require_lyapunov_residual(np.sqrt(res_sq), np.sqrt(top[m:].max()), top[:m].max(),
                               spectrum, tols)
     h2sq = np.trace(Ykk[:, out, out], axis1=1, axis2=2).real.sum()
-    return float(np.sqrt(max(0.0, h2sq)))
+    return float(np.sqrt(max(0.0, h2sq))), spectrum
 
 
 def error_h2(cl: ClosedLoop, tols: Tolerances = DEFAULT):
@@ -407,7 +394,7 @@ def error_h2(cl: ClosedLoop, tols: Tolerances = DEFAULT):
             "motion; use reduce_to_differences first"
         )
     if cl.modes is not None:
-        return _modal_h2(cl.modes, tols)
+        return _modal_h2(cl.modes, tols)[0]
     return h2_norm(cl.A_cl, cl.B_cl, cl.C_cl, tols)
 
 
@@ -416,7 +403,8 @@ def rho_scaling_probe(model: AgentModel, g: CommGraph, kind: str, rho_list,
     """Design once, then realize + assemble + measure for each rho.
 
     Returns a list of (rho, h2, rho*h2, spectral_abscissa) rows,
-    ordered by rho.  For p2, `delta` fixes the low-gain parameter;
+    ordered by rho, the abscissa read off the mode spectra (no dense
+    loop is formed).  For p2, `delta` fixes the low-gain parameter;
     None means the halving search runs per rho.
     """
     des = design(model, kind, g, tols)
@@ -425,8 +413,8 @@ def rho_scaling_probe(model: AgentModel, g: CommGraph, kind: str, rho_list,
     rows = []
     for rho in sorted(rho_list):
         cl = assemble(model, des.realize(rho, delta), lp)
-        h2 = error_h2(cl, tols)
-        rows.append((rho, h2, rho * h2, spectral_abscissa(cl.A_cl)))
+        h2, spectrum = _modal_h2(cl.modes, tols)
+        rows.append((rho, h2, rho * h2, float(spectrum.real.max())))
     return rows
 
 

@@ -10,6 +10,7 @@ frequencies where the gain crosses a level, and the gains between them
 raise the level until no gain above it is left.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,8 +259,8 @@ def solve_lyapunov(A, W, tols: Tolerances = DEFAULT):
 
     Bartels-Stewart via the real Schur form (scipy's
     solve_continuous_lyapunov).  Raises NotHurwitz when the spectral
-    abscissa of A is >= -hurwitz_margin or the residual is above
-    tolerance.
+    abscissa of A is >= -hurwitz_margin, two eigenvalues of A nearly
+    cancel or the residual is above tolerance.
     """
     A = _as_matrix(A, "A")
     W = _as_matrix(W, "W")
@@ -269,7 +270,15 @@ def solve_lyapunov(A, W, tols: Tolerances = DEFAULT):
         )
     _, spectrum = is_hurwitz(A)
     require_hurwitz(spectrum, tols)
-    X = sla.solve_continuous_lyapunov(A, -W)
+    with warnings.catch_warnings():
+        # scipy only warns when it has to perturb the equation
+        warnings.filterwarnings("error", 'Input "a" has an eigenvalue pair', RuntimeWarning)
+        try:
+            X = sla.solve_continuous_lyapunov(A, -W)
+        except RuntimeWarning as exc:
+            raise NotHurwitz("Lyapunov equation near singular: two eigenvalues of A "
+                             "nearly cancel (A is too close to the imaginary axis)",
+                             spectrum) from exc
     X = 0.5 * (X + X.T)
     res = np.linalg.norm(A @ X + X @ A.T + W, 2)
     require_lyapunov_residual(res, np.linalg.norm(A, 2), np.linalg.norm(X, 2), spectrum, tols)
@@ -318,7 +327,7 @@ def _resonant_frequency(spectrum):
 _HINF_MAX_STEPS = 30
 
 
-def hinf_norm(A, B, C, tol=None, tols: Tolerances = DEFAULT):
+def hinf_norm(A, B, C, tols: Tolerances = DEFAULT):
     """H-infinity norm of the stable strictly proper system (A, B, C).
 
     Level-set iteration (Bruinsma & Steinbuch 1990; Boyd & Balakrishnan
@@ -330,16 +339,15 @@ def hinf_norm(A, B, C, tol=None, tols: Tolerances = DEFAULT):
     H(gamma) and raises lo to the largest gain at the midpoints between
     consecutive crossings.  It stops when H(gamma) has no crossings or
     no midpoint gain exceeds lo, and returns (1 + tol) lo: within
-    relative `tol` (default tols.hinf_rel, in (0, 1)) of the norm, and
-    (1 + tol) times a measured gain.  A must pass `require_hurwitz`.
+    relative tol = tols.hinf_rel, which must lie in (0, 1), of the norm,
+    and (1 + tol) times a measured gain.  A must pass `require_hurwitz`.
     Raises H2SyncError if the iteration has not stopped after
     _HINF_MAX_STEPS steps.
     """
     A, B, C = _as_system(A, B, C)
-    if tol is None:
-        tol = tols.hinf_rel
+    tol = tols.hinf_rel
     if not (0.0 < tol < 1.0):
-        raise DimensionMismatch(f"tol must be finite and in (0, 1), got {tol}")
+        raise DimensionMismatch(f"tols.hinf_rel must be finite and in (0, 1), got {tol}")
     _, spectrum = is_hurwitz(A)
     require_hurwitz(spectrum, tols)
     lo = max(_gain_at(A, B, C, 0.0), _gain_at(A, B, C, _resonant_frequency(spectrum)))

@@ -164,10 +164,13 @@ def _propagate(M, K, z, steps, dt, rngs=None, keep=None):
             draws = [rng.standard_normal((c, nw)) for rng in rngs]
             W = (np.stack(draws, axis=2) if runs else draws[0]) * sd
         out = np.empty((c, keep) + runs)
-        for j in range(c):
-            z = M @ z + K @ W[j] if rngs else M @ z
-            out[j] = z[:keep]
-        if not np.isfinite(z).all() or np.linalg.norm(z, axis=0).max() > DIVERGENCE_LIMIT:
+        # overflow is the guard's to report, not numpy's (no yield inside)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(c):
+                z = M @ z + K @ W[j] if rngs else M @ z
+                out[j] = z[:keep]
+            norm = np.linalg.norm(z, axis=0).max()
+        if not norm <= DIVERGENCE_LIMIT:  # a non-finite state fails too
             raise Diverged(
                 f"state norm exceeded {DIVERGENCE_LIMIT:.0e} by t={(k + c) * dt:.3f}"
             )

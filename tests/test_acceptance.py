@@ -142,7 +142,7 @@ def test_criterion_5_hinf_side_bounds():
         products = []
         for rho in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
             Ae = np.kron(np.eye(2), TRIPLE.A) - rho * np.kron(lp.L_reduced, np.eye(3))
-            products.append(rho * hinf_norm(Ae, np.eye(6), np.eye(6), tol=1e-6))
+            products.append(rho * hinf_norm(Ae, np.eye(6), np.eye(6)))
         ok = max(products) <= 1.05 * products[0]
 
         bound_const = np.linalg.norm(lp.L_reduced, 2) * np.linalg.norm(lp.Pi, 2)
@@ -152,7 +152,7 @@ def test_criterion_5_hinf_side_bounds():
             filt = TRIPLE.A - (real.Q_rho @ TRIPLE.C.T @ TRIPLE.C) / real.delta**2
             Ae = np.kron(np.eye(2), filt)
             Be = np.kron(lp.L_reduced @ lp.Pi, TRIPLE.E)
-            val = hinf_norm(Ae, Be, np.eye(6), tol=1e-6)
+            val = hinf_norm(Ae, Be, np.eye(6))
             bound = bound_const / rho
             ok &= val <= bound + 1e-6
             worst_margin = min(worst_margin, bound - val)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,9 @@ from h2sync.conditions import model_to_text
 from h2sync.errors import Diverged
 from h2sync.graph import graph_to_text
 from h2sync.protocol import parse_realization, synthesize_p2
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -350,3 +358,31 @@ class TestBoundary:
         err = capsys.readouterr().err
         assert err.startswith("unexpected error: RuntimeError")
         assert err.count("\n") == 1
+
+
+class TestOneStderrLine:
+    """A numerical failure is reported by its typed error alone: no numpy
+    or scipy warning reaches stderr ahead of it.  Run in a fresh process
+    with the default warning filters, as a user runs the CLI."""
+
+    @pytest.mark.parametrize("argv, line", [
+        # RK4 at dt = 0.05 overflows within a block of this loop
+        (["simulate", "--protocol", "p2", "--rho", "10", "--delta", "0.0004",
+          "--dt", "0.05", "--t-final", "20"], "numerical failure: state norm exceeded"),
+        # the delta search meets Lyapunov equations scipy would perturb
+        (["synth", "--protocol", "p2", "--rho", "256"],
+         "numerical failure: no feasible delta found"),
+    ], ids=["simulate", "synth"])
+    def test_exit_3_with_one_line(self, ref_files, argv, line):
+        model, graph, tmp = ref_files
+        if argv[0] == "simulate":
+            argv = argv + ["--graph", graph]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "h2sync.cli", *argv, "--model", model,
+             "--out", str(tmp / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(line) and proc.stderr.count("\n") == 1

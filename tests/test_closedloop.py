@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -30,7 +29,7 @@ from h2sync.conditions import AgentModel
 from h2sync.errors import DimensionMismatch, NotHurwitz, PreconditionFailed
 from h2sync.graph import CommGraph, laplacian
 from h2sync.linalg import h2_norm, hinf_norm, is_hurwitz, spectral_abscissa
-from h2sync.protocol import synthesize_p1, synthesize_p2
+from h2sync.protocol import design, synthesize_p1, synthesize_p2
 from h2sync.tolerances import Tolerances
 
 
@@ -48,7 +47,7 @@ def two_agent_chain():
 
 def dense_only(cl: ClosedLoop) -> ClosedLoop:
     """The same loop without mode data, so error_h2 takes the dense path."""
-    return dataclasses.replace(cl, modes=None)
+    return ClosedLoop(*cl.modes.dense(), cl.n_agents, cl.coordinates)
 
 
 @pytest.fixture(scope="module")
@@ -109,10 +108,11 @@ class TestAssembleP2:
         q = 1.0 / np.sqrt(delta**-2 - rho**2)
         assert real.Q_rho[0, 0] == pytest.approx(q, rel=1e-12)
         cl = assemble_p2(m, real, laplacian(two_agent_chain()))
+        # states (xbar, e, ebar)
         expect = np.array([
-            [-rho, 0.0, rho],
-            [0.0, -q / delta**2, 0.0],
-            [0.0, rho, -rho],
+            [-rho, rho, 0.0],
+            [0.0, -rho, rho],
+            [0.0, 0.0, -q / delta**2],
         ])
         np.testing.assert_allclose(cl.A_cl, expect, atol=1e-12)
         np.testing.assert_allclose(cl.B_cl, [[1, -1], [1, -1], [1, -1]], atol=1e-12)
@@ -197,10 +197,11 @@ class TestStackedCrossCheck:
         m = scalar_model_full()
         real = synthesize_p1(m, 2.0)
         raw = assemble_stacked(m, real, two_agent_chain())
-        raw.A_cl = raw.A_cl.copy()
-        raw.A_cl[0, 0] -= 0.3  # absolute feedback on agent 1 only
+        A = raw.A_cl.copy()
+        A[0, 0] -= 0.3  # absolute feedback on agent 1 only
+        leaky = ClosedLoop(A, raw.B_cl, raw.C_cl, raw.n_agents, raw.coordinates)
         with pytest.raises(DimensionMismatch):
-            reduce_to_differences(raw, m, real)
+            reduce_to_differences(leaky, m, real)
 
 
 def frequency_response(cl, omega):
@@ -237,8 +238,8 @@ class TestDenseForm:
 
     @pytest.mark.parametrize("graph", ["case1", "random3"])
     def test_dense_is_block_permutation_of_mode_formula(self, designs, graph):
-        # the ModeData docstring: agent-major I (x) D - rho Lbar (x) S,
-        # sum_a M[a] (x) E[a] and I (x) C_out, reordered block-major
+        # the ModeData docstring, agent by agent: I (x) D - rho Lbar (x) S,
+        # sum_a M[a] (x) E[a] and I (x) C_out
         lp = laplacian(oracle_graph(graph))
         for model, real, assemble in designs:
             cl = assemble(model, real, lp)
@@ -249,15 +250,37 @@ class TestDenseForm:
             A = np.kron(np.eye(m), md.D) - md.rho * np.kron(md.L_reduced, S)
             B = sum(np.kron(Ma, Ea) for Ma, Ea in zip(md.M, md.E))
             C = np.kron(np.eye(m), np.eye(d)[md.block(md.output)])
-            # the assembled loop is laid out (xbar, e) or (xbar, ebar, e)
-            layout = (0, 1) if real.kind == "p1" else (0, 2, 1)
-            for order in itertools.permutations(range(d // n)):
-                perm = np.concatenate([k * d + b * n + np.arange(n)
-                                       for b in order for k in range(m)])
-                A_d, B_d, C_d = (cl.A_cl, cl.B_cl, cl.C_cl) if order == layout else md.dense(order)
-                np.testing.assert_array_equal(A_d, A[np.ix_(perm, perm)])
-                np.testing.assert_array_equal(B_d, B[perm])
-                np.testing.assert_array_equal(C_d, C[:, perm])
+            np.testing.assert_array_equal(cl.A_cl, A)
+            np.testing.assert_array_equal(cl.B_cl, B)
+            np.testing.assert_array_equal(cl.C_cl, C)
+
+    def test_triple_is_derived_from_modes_and_kept(self, designs):
+        lp = laplacian(case2_graph())
+        for model, real, assemble in designs:
+            cl = assemble(model, real, lp)
+            A = cl.A_cl
+            for got, want in zip((A, cl.B_cl, cl.C_cl), cl.modes.dense()):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert cl.A_cl is A
+
+    def test_assemblers_form_no_dense_loop(self, designs, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense loop formed")
+
+        monkeypatch.setattr(closedloop.ModeData, "dense", refuse)
+        lp = laplacian(case2_graph())
+        for model, real, assemble in designs:
+            assert error_h2(assemble(model, real, lp)) > 0
+        for kind, model in (("p1", triple_integrator_full_state()), ("p2", triple_integrator())):
+            assert len(rho_scaling_probe(model, case2_graph(), kind, [1.0, 4.0])) == 2
+
+    def test_loop_needs_modes_or_triple(self, designs):
+        model, real, assemble = designs[0]
+        cl = assemble(model, real, laplacian(case1_graph()))
+        with pytest.raises(DimensionMismatch):
+            ClosedLoop(None, None, None, 3, "error-form")
+        with pytest.raises(DimensionMismatch):
+            ClosedLoop(cl.A_cl, None, cl.C_cl, 3, "error-form")
 
 
 class TestErrorH2:
@@ -387,6 +410,21 @@ class TestScalingProbe:
             rho_scaling_probe(model(), disconnected, kind, [4.0])
         assert exc.value.condition == letter
 
+    @pytest.mark.parametrize("graph", ORACLE_GRAPHS)
+    def test_abscissa_matches_dense_spectrum(self, graph):
+        # the abscissa comes from the mode spectra, not an eigensolve of
+        # A_cl.  The triple integrator's eigenvalue of multiplicity 3 is
+        # accurate to only about eps^(1/3) in either, hence 1e-3 and not
+        # 1e-8 (worst seen 9.0e-5)
+        g = oracle_graph(graph)
+        lp = laplacian(g)
+        for kind, model, assemble in (("p1", triple_integrator_full_state(), assemble_p1),
+                                      ("p2", triple_integrator(), assemble_p2)):
+            des = design(model, kind, g)
+            for rho, _, _, absc in rho_scaling_probe(model, g, kind, [1.0, 4.0, 10.0]):
+                dense = spectral_abscissa(assemble(model, des.realize(rho), lp).A_cl)
+                assert absc == pytest.approx(dense, rel=1e-3)
+
     def test_two_agent_scalar_closed_form(self):
         # hand Lyapunov solve gives H2 = sqrt(5 / (2 rho))
         rows = rho_scaling_probe(
@@ -423,7 +461,7 @@ class TestHinfSideBounds:
         products = []
         for rho in (1.0, 4.0, 16.0):
             Ae = np.kron(np.eye(2), m.A) - rho * np.kron(lp.L_reduced, np.eye(3))
-            products.append(rho * hinf_norm(Ae, np.eye(6), np.eye(6), tol=1e-6))
+            products.append(rho * hinf_norm(Ae, np.eye(6), np.eye(6)))
         assert max(products) <= 1.05 * products[0]
 
     def test_observer_error_hinf_bound(self):
@@ -436,5 +474,5 @@ class TestHinfSideBounds:
             filt = m.A - (real.Q_rho @ m.C.T @ m.C) / real.delta**2
             Ae = np.kron(np.eye(2), filt)
             Be = np.kron(lp.L_reduced @ lp.Pi, m.E)
-            val = hinf_norm(Ae, Be, np.eye(6), tol=1e-6)
+            val = hinf_norm(Ae, Be, np.eye(6))
             assert val <= bound_const / rho + 1e-6

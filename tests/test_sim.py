@@ -399,6 +399,20 @@ class TestDivergenceGuard:
         with pytest.raises(Diverged):
             white_noise_rms(5.0, 1.0, 1.0, 1e-3, 20.0, [0])
 
+    @pytest.mark.parametrize("noise", ["off", "white"])
+    def test_overflow_inside_a_block_is_not_a_warning(self, noise):
+        # dt = 0.05 is past the RK4 stability limit of this loop: the
+        # state overflows to inf and NaN within one block, and the guard
+        # reports it instead of a numpy overflow warning
+        cfg = case1_p2_config(protocol=synthesize_p2(triple_integrator(), 10.0,
+                                                     delta_hint=0.0004),
+                              dt=0.05, t_final=20.0, noise=noise)
+        with pytest.raises(Diverged):
+            simulate(cfg)
+        if noise == "white":
+            with pytest.raises(Diverged):
+                monte_carlo_rms(cfg, [0, 1])
+
 
 class TestTrajectoryBlocks:
     def test_blocks_cover_the_run(self, monkeypatch):
