@@ -147,10 +147,7 @@ def _check_dims(model: AgentModel, real: ProtocolRealization, kind: str):
         raise DimensionMismatch(
             f"realization kind {real.kind!r} does not match assembler {kind!r}"
         )
-    if real.n != model.n:
-        raise DimensionMismatch(
-            f"realization built for n={real.n}, model has n={model.n}"
-        )
+    real.require_fits(model)
 
 
 def assemble_p1(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair):
@@ -203,10 +200,6 @@ def assemble_stacked(model: AgentModel, real: ProtocolRealization, g: CommGraph)
     protocol canonical form and the full Laplacian; output is
     xbar = (Pi (x) I) x.  Marginally stable along synchronized motion.
     """
-    if real.n != model.n:
-        raise DimensionMismatch(
-            f"realization built for n={real.n}, model has n={model.n}"
-        )
     Ac, Bc, Cc, Fc, Hc = controller_matrices(real, model)
     lp = laplacian(g)
     N = g.n_agents

@@ -17,12 +17,13 @@ import scipy.linalg as sla
 
 from .errors import (
     DimensionMismatch,
+    H2SyncError,
     ParseError,
     PreconditionFailed,
     RankDeficientEverywhere,
 )
 from .graph import CommGraph, has_spanning_tree
-from .linalg import spectral_abscissa
+from .linalg import _as_matrix, _as_system, spectral_abscissa
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -55,35 +56,19 @@ class AgentModel:
     coupling_kind: str = "partial-state"
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        self.C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        self.E = np.atleast_2d(np.asarray(self.E, dtype=float))
-        n = self.A.shape[0]
-        if self.A.shape != (n, n):
-            raise DimensionMismatch(f"A must be square, got {self.A.shape}")
-        if self.B.shape[0] != n:
-            raise DimensionMismatch(f"B must have {n} rows, got {self.B.shape}")
-        if self.C.shape[1] != n:
-            raise DimensionMismatch(f"C must have {n} cols, got {self.C.shape}")
-        if self.E.shape[0] != n:
-            raise DimensionMismatch(f"E must have {n} rows, got {self.E.shape}")
-        for name in ("A", "B", "C", "E"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise DimensionMismatch(f"{name} contains NaN or Inf")
+        self.A, self.B, self.C = _as_system(self.A, self.B, self.C)
+        self.E = _as_system(self.A, self.E, names="AE")[1]
         if self.coupling_kind not in ("full-state", "partial-state"):
             raise DimensionMismatch(
                 f"coupling_kind must be full-state or partial-state, "
                 f"got {self.coupling_kind!r}"
             )
-        if self.coupling_kind == "full-state" and not (
-            self.C.shape == (n, n) and np.array_equal(self.C, np.eye(n))
-        ):
+        if self.coupling_kind == "full-state" and not np.array_equal(self.C, np.eye(self.n)):
             raise DimensionMismatch("full-state coupling requires C = I")
 
     @classmethod
     def full_state(cls, A, B, E):
-        A = np.atleast_2d(np.asarray(A, dtype=float))
+        A = _as_system(A)[0]
         return cls(A, B, np.eye(A.shape[0]), E, coupling_kind="full-state")
 
     @property
@@ -190,12 +175,19 @@ class SolvabilityReport:
         return "\n".join(lines) + "\n"
 
 
+def _clhp_margin(A, tols):
+    """How far right of the imaginary axis an eigenvalue or zero of A's
+    system may lie and still count as in the closed left half plane."""
+    return tols.clhp_margin * (1.0 + np.linalg.norm(A, 2))
+
+
 def _pbh_rank_ok(A, W, stacked, tols):
     """PBH test: full rank of [lI - A, W] (or [lI - A; W]) at every
     eigenvalue of A with nonnegative real part."""
     n = A.shape[0]
+    margin = _clhp_margin(A, tols)
     for lam in np.linalg.eigvals(A):
-        if lam.real < -tols.clhp_margin * (1.0 + np.linalg.norm(A, 2)):
+        if lam.real < -margin:
             continue
         M = lam * np.eye(n) - A
         pencil = np.vstack([M, W]) if stacked else np.hstack([M, W])
@@ -207,28 +199,28 @@ def _pbh_rank_ok(A, W, stacked, tols):
 
 def check_stabilizable(A, B, tols: Tolerances = DEFAULT) -> bool:
     """PBH stabilizability: rank [lI - A, B] = n at unstable eigenvalues."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    A, B, _ = _as_system(A, B)
     return _pbh_rank_ok(A, B, stacked=False, tols=tols)
 
 
 def check_detectable(A, C, tols: Tolerances = DEFAULT) -> bool:
     """Dual PBH: rank [lI - A; C] = n at unstable eigenvalues."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
+    A, _, C = _as_system(A, C=C)
     return _pbh_rank_ok(A, C, stacked=True, tols=tols)
 
 
 def check_clhp(A, tols: Tolerances = DEFAULT) -> bool:
     """All eigenvalues of A in the closed left half plane."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    return spectral_abscissa(A) <= tols.clhp_margin * (1.0 + np.linalg.norm(A, 2))
+    A = _as_system(A)[0]
+    return spectral_abscissa(A) <= _clhp_margin(A, tols)
 
 
 def check_disturbance_match(B, E, tols: Tolerances = DEFAULT):
     """Test im E within im B; returns (matched, X) with X = argmin ||BX - E||."""
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    E = np.atleast_2d(np.asarray(E, dtype=float))
+    B = _as_matrix(B, "B")
+    if not B.shape[0]:
+        raise DimensionMismatch(f"B must have n >= 1 rows, got {B.shape}")
+    E = _as_matrix(E, "E", rows=B.shape[0])
     X, *_ = np.linalg.lstsq(B, E, rcond=None)
     resid = np.linalg.norm(B @ X - E, 2)
     return bool(resid <= tols.rank_rel * (1.0 + np.linalg.norm(E, 2))), X
@@ -262,9 +254,7 @@ def invariant_zeros(A, E, C, tols: Tolerances = DEFAULT):
     non-square pencils a random row/column compression squares the
     problem and each candidate is verified against the original pencil.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    E = np.atleast_2d(np.asarray(E, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
+    A, E, C = _as_system(A, E, C, names="AEC")
     n, w, p = A.shape[0], E.shape[1], C.shape[0]
 
     rng = np.random.default_rng(_RANK_PROBE_SEED)
@@ -275,9 +265,7 @@ def invariant_zeros(A, E, C, tols: Tolerances = DEFAULT):
             s = rng.uniform(1, 10) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             if np.min(np.abs(s - eigs)) > 1e-3:
                 return s
-        raise RuntimeError(
-            "could not draw a probe point away from the spectrum of A"
-        )
+        raise H2SyncError("could not draw a probe point away from the spectrum of A")
 
     normal_rank = max(_rank(_pencil(A, E, C, draw_point()), tols) for _ in range(2))
     if normal_rank < n + w:
@@ -323,12 +311,12 @@ def check_minphase_leftinv(A, E, C, tols: Tolerances = DEFAULT):
 
     zeros is None when the channel is not left invertible.
     """
+    A, E, C = _as_system(A, E, C, names="AEC")
     try:
         zeros = invariant_zeros(A, E, C, tols)
     except RankDeficientEverywhere:
         return False, None
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    margin = tols.clhp_margin * (1.0 + np.linalg.norm(A, 2))
+    margin = _clhp_margin(A, tols)
     minphase = all(z.real < -margin for z in zeros)
     return bool(minphase), zeros
 
@@ -377,31 +365,22 @@ def parse_model(text: str, coupling_kind: str = None) -> AgentModel:
         n, m, p, w = (int(t) for t in tokens[:4])
     except ValueError:
         raise ParseError(f"bad header {' '.join(tokens[:4])!r}; expected 4 ints")
-    need = 4 + n * n + n * m + p * n + n * w
-    if len(tokens) != need:
+    if min(n, m, p, w) < 0:
+        raise ParseError(f"header sizes must be >= 0, got {n} {m} {p} {w}")
+    shapes = [(n, n), (n, m), (p, n), (n, w)]
+    sizes = [rows * cols for rows, cols in shapes]
+    if len(tokens) != 4 + sum(sizes):
         raise ParseError(
-            f"expected {need - 4} matrix entries for n={n} m={m} p={p} w={w}, "
+            f"expected {sum(sizes)} matrix entries for n={n} m={m} p={p} w={w}, "
             f"got {len(tokens) - 4}"
         )
     try:
         vals = np.array([float(t) for t in tokens[4:]])
     except ValueError as exc:
         raise ParseError(f"bad matrix entry: {exc}")
-    ofs = 0
-
-    def take(rows, cols):
-        nonlocal ofs
-        M = vals[ofs : ofs + rows * cols].reshape(rows, cols)
-        ofs += rows * cols
-        return M
-
-    A, B, C, E = take(n, n), take(n, m), take(p, n), take(n, w)
+    A, B, C, E = (v.reshape(s) for v, s in zip(np.split(vals, np.cumsum(sizes)[:-1]), shapes))
     if coupling_kind is None:
-        coupling_kind = (
-            "full-state"
-            if C.shape == (n, n) and np.array_equal(C, np.eye(n))
-            else "partial-state"
-        )
+        coupling_kind = "full-state" if np.array_equal(C, np.eye(n)) else "partial-state"
     try:
         return AgentModel(A, B, C, E, coupling_kind=coupling_kind)
     except DimensionMismatch as exc:

@@ -12,6 +12,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import DimensionMismatch, ParseError, SpectrumMismatch
+from .linalg import _as_matrix
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -32,13 +33,11 @@ class CommGraph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.adjacency, dtype=float))
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        A = _as_matrix(self.adjacency, "adjacency")
+        if A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"adjacency must be square, got {A.shape}")
         if A.shape[0] < 2:
             raise DimensionMismatch("need at least 2 agents")
-        if not np.all(np.isfinite(A)):
-            raise DimensionMismatch("adjacency contains NaN or Inf")
         if np.any(A < 0):
             raise DimensionMismatch("adjacency weights must be nonnegative")
         if np.any(np.diag(A) != 0):
@@ -112,8 +111,11 @@ def reduced_spectrum_check(lp: LaplacianPair, tol: float, tols: Tolerances = DEF
     (True, pairing) where pairing is a list of (lambda_L, lambda_Lbar)
     pairs; raises SpectrumMismatch if any pair is further apart than
     `tol`, or if L does not have a simple zero eigenvalue (no spanning
-    tree, or a construction bug).
+    tree, or a construction bug); DimensionMismatch unless tol is
+    finite and >= 0.
     """
+    if not (0.0 <= tol < np.inf):
+        raise DimensionMismatch(f"tol must be finite and >= 0, got {tol}")
     ev_L = np.linalg.eigvals(lp.L)
     ev_R = np.linalg.eigvals(lp.L_reduced)
     zero_band = tols.zero_eig * (1.0 + np.linalg.norm(lp.L, 2))
@@ -176,7 +178,10 @@ def parse_graph(text: str) -> CommGraph:
         except (ValueError, DimensionMismatch) as exc:
             if N != 3:
                 raise ParseError(f"bad dense adjacency: {exc}")
-    A = np.zeros((N, N))
+    try:
+        A = np.zeros((N, N))
+    except (ValueError, MemoryError) as exc:
+        raise ParseError(f"no room for {N} agents: {exc}", line=first_line) from None
     for (line, _), r in zip(body, rows):
         if len(r) != 3:
             raise ParseError(

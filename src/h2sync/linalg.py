@@ -54,38 +54,46 @@ class StableSubspaceResult:
     closed_loop_spectrum: np.ndarray
 
 
-def _as_matrix(M, name):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+def _as_matrix(M, name, rows=None, cols=None):
+    """M as a finite float 2-D matrix with `rows` rows and `cols` columns
+    where given; DimensionMismatch naming it otherwise."""
+    try:
+        M = np.atleast_2d(np.asarray(M))
+    except ValueError as exc:  # ragged nesting
+        raise DimensionMismatch(f"{name} is not a matrix: {exc}") from None
+    if M.dtype.kind not in "biuf":  # a cast would drop imaginary parts or parse text
+        raise DimensionMismatch(f"{name} must hold real numbers, got dtype {M.dtype}")
+    M = M.astype(float, copy=False)
+    if M.ndim != 2 or rows not in (None, M.shape[0]) or cols not in (None, M.shape[1]):
+        want = ", ".join("*" if k is None else str(k) for k in (rows, cols))
+        raise DimensionMismatch(f"{name} must have shape ({want}), got {M.shape}")
     if not np.all(np.isfinite(M)):
         raise DimensionMismatch(f"{name} contains NaN or Inf entries")
     return M
 
 
-def _as_system(A, B, C):
-    """(A, B, C) as float matrices with A square, B with as many rows and
-    C with as many columns as A has; DimensionMismatch otherwise."""
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
-    C = _as_matrix(C, "C")
+def _as_system(A, B=None, C=None, names="ABC"):
+    """The one input gate for state-space data: (A, B, C) as finite float
+    matrices, A square with n >= 1, B with n rows and C with n columns
+    (zero columns of B or rows of C are legal); B or C left None stays
+    None.  `names`, one letter per matrix, label DimensionMismatch."""
+    A = _as_matrix(A, names[0])
     n = A.shape[0]
-    if A.shape != (n, n) or B.shape[0] != n or C.shape[1] != n:
-        raise DimensionMismatch(
-            f"need square A with B rows and C columns to match, got "
-            f"A {A.shape}, B {B.shape}, C {C.shape}"
-        )
-    return A, B, C
+    if n == 0 or A.shape[1] != n:
+        raise DimensionMismatch(f"{names[0]} must be square with n >= 1, got {A.shape}")
+    return (A,
+            None if B is None else _as_matrix(B, names[1], rows=n),
+            None if C is None else _as_matrix(C, names[2], cols=n))
 
 
 def spectral_abscissa(A):
     """Largest real part over the eigenvalues of A."""
-    A = _as_matrix(A, "A")
-    return float(np.linalg.eigvals(A).real.max())
+    return float(np.linalg.eigvals(_as_system(A)[0]).real.max())
 
 
 def is_hurwitz(A):
     """Return (all eigenvalues in the open left half plane, spectrum)."""
-    A = _as_matrix(A, "A")
-    spectrum = np.linalg.eigvals(A)
+    spectrum = np.linalg.eigvals(_as_system(A)[0])
     return bool(spectrum.real.max() < 0.0), spectrum
 
 
@@ -186,14 +194,8 @@ def solve_care_standard(A, B, tols: Tolerances = DEFAULT):
     the eigenvalues of A - B B^T P (all in the open left half plane).
     Requires (A, B) stabilizable; otherwise NoStabilizingSolution.
     """
-    A = _as_matrix(A, "A")
-    B = _as_matrix(B, "B")
+    A, B, _ = _as_system(A, B)
     n = A.shape[0]
-    if A.shape[1] != n:
-        raise DimensionMismatch(f"A must be square, got {A.shape}")
-    if B.shape[0] != n:
-        raise DimensionMismatch(f"B must have {n} rows, got {B.shape[0]}")
-
     cap = tols.care_residual * (1.0 + np.linalg.norm(A, 2)) ** 2
     P, res_norm = _solve_care(A, B @ B.T, np.eye(n), cap, tols)
 
@@ -216,12 +218,8 @@ def solve_filter_riccati(A, E, C, rho, delta, tols: Tolerances = DEFAULT):
     delta and retry) and NotPositiveDefinite when the stabilizing
     solution exists but is only semidefinite.
     """
-    A = _as_matrix(A, "A")
-    E = _as_matrix(E, "E")
-    C = _as_matrix(C, "C")
+    A, E, C = _as_system(A, E, C, names="AEC")
     n = A.shape[0]
-    if A.shape[1] != n or E.shape[0] != n or C.shape[1] != n:
-        raise DimensionMismatch("inconsistent (A, E, C) dimensions")
     require_rho(rho)
     if not (0.0 < delta < np.inf):
         raise DimensionMismatch(f"delta must be finite and positive, got {delta}")
@@ -262,12 +260,7 @@ def solve_lyapunov(A, W, tols: Tolerances = DEFAULT):
     abscissa of A is >= -hurwitz_margin, two eigenvalues of A nearly
     cancel or the residual is above tolerance.
     """
-    A = _as_matrix(A, "A")
-    W = _as_matrix(W, "W")
-    if A.shape[0] != A.shape[1] or A.shape != W.shape:
-        raise DimensionMismatch(
-            f"need square A and matching W, got {A.shape} and {W.shape}"
-        )
+    A, W, _ = _as_system(A, W, W, names="AWW")  # W: n rows and n columns
     _, spectrum = is_hurwitz(A)
     require_hurwitz(spectrum, tols)
     with warnings.catch_warnings():
@@ -300,7 +293,7 @@ def h2_norm(A, B, C, tols: Tolerances = DEFAULT):
 def _gain_at(A, B, C, omega):
     n = A.shape[0]
     G = C @ np.linalg.solve(1j * omega * np.eye(n) - A, B)
-    return np.linalg.svd(G, compute_uv=False)[0]
+    return np.linalg.svd(G, compute_uv=False).max(initial=0.0)  # 0 with no input or output
 
 
 def _on_imag_axis(eigs, tols: Tolerances):

@@ -36,7 +36,7 @@ from .errors import (
     RhoOutOfRange,
 )
 from .graph import CommGraph
-from .linalg import require_rho, solve_care_standard, solve_filter_riccati
+from .linalg import _as_matrix, _as_system, require_rho, solve_care_standard, solve_filter_riccati
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -80,25 +80,36 @@ class ProtocolRealization:
             raise DimensionMismatch("delta and Q_rho are set for p2 and only for p2")
         if p2 and not (0.0 < self.delta < np.inf):
             raise DimensionMismatch(f"delta must be finite and > 0, got {self.delta}")
-        _check_block("P", self.P, self.n)
+        self.P = _as_system(self.P, names="P")[0]
         if p2:
-            _check_block("Q_rho", self.Q_rho, self.n)
+            self.Q_rho = _as_matrix(self.Q_rho, "Q_rho", self.n, self.n)
+        blocks = [("P", self.P), ("Q_rho", self.Q_rho)] if p2 else [("P", self.P)]
+        for label, M in blocks:
+            asym = np.linalg.norm(M - M.T)
+            if asym > DEFAULT.symmetry * max(1.0, np.linalg.norm(M)):
+                raise DimensionMismatch(
+                    f"{label} is not symmetric (Frobenius asymmetry {asym:.3g})")
 
     @property
     def n(self):
         return self.P.shape[0]
+
+    def require_fits(self, model: AgentModel):
+        """Raise DimensionMismatch unless this realization belongs to
+        `model`: the same n and, for p1, full-state coupling."""
+        if self.n != model.n:
+            raise DimensionMismatch(f"realization built for n={self.n}, model has n={model.n}")
+        if not _coupling_fits(model, self.kind):
+            raise DimensionMismatch("a p1 realization needs a full-state coupled model (C = I)")
 
     @property
     def controller_state_dim(self):
         return self.n if self.kind == "p1" else 2 * self.n
 
 
-def _check_block(label, M, n):
-    if M.shape != (n, n) or not np.all(np.isfinite(M)):
-        raise DimensionMismatch(f"{label} must be a finite {n} x {n} matrix, got {M.shape}")
-    asym = np.linalg.norm(M - M.T)
-    if asym > DEFAULT.symmetry * max(1.0, np.linalg.norm(M)):
-        raise DimensionMismatch(f"{label} is not symmetric (Frobenius asymmetry {asym:.3g})")
+def _coupling_fits(model, kind):
+    """p1 feeds back the full state: it needs full-state coupling."""
+    return kind != "p1" or model.coupling_kind == "full-state"
 
 
 @dataclass
@@ -144,7 +155,7 @@ def design(model: AgentModel, kind: str, g: Optional[CommGraph] = None,
     and solve the control CARE once.  p1 also needs full-state coupling."""
     if kind not in ("p1", "p2"):
         raise DimensionMismatch(f"unknown protocol kind {kind!r}")
-    if kind == "p1" and model.coupling_kind != "full-state":
+    if not _coupling_fits(model, kind):
         raise PreconditionFailed(
             "Protocol 1 requires full-state coupling (C = I)", condition="(coupling)"
         )
@@ -177,6 +188,7 @@ def controller_matrices(real: ProtocolRealization, model: AgentModel):
     Protocol 1: x_c = chi (n states).  Protocol 2: x_c = (xhat, chi)
     (2n states); the exchanged signal xi is chi in both cases.
     """
+    real.require_fits(model)
     n, m, p = model.n, model.m, model.p
     rho = real.rho
     BBtP = model.B @ model.B.T @ real.P

@@ -32,6 +32,7 @@ from .closedloop import assemble_p1, assemble_p2, assemble_stacked, error_h2
 from .conditions import AgentModel
 from .errors import ConfigInvalid, Diverged
 from .graph import CommGraph, laplacian
+from .linalg import _as_system
 from .protocol import ProtocolRealization
 
 __all__ = [
@@ -83,6 +84,7 @@ class SimConfig:
 
     def __post_init__(self):
         _check_time_grid(self.dt, self.t_final, self.tail_fraction, self.integrator)
+        self.protocol.require_fits(self.model)
         if self.noise not in ("off", "white"):
             raise ConfigInvalid(f"noise must be 'off' or 'white', got {self.noise!r}")
         if self.initial_conditions is not None:
@@ -119,6 +121,7 @@ class ConsistencyResult:
 def step_matrices(A, B, dt, integrator):
     """One-step affine propagators (M, K): z+ = M z + K w for input held
     over the step.  rk4 = 4th-order Taylor polynomial; zoh = exact."""
+    A, B, _ = _as_system(A, B)
     dim = A.shape[0]
     if integrator == "rk4":
         M = np.eye(dim)
@@ -178,13 +181,25 @@ def _propagate(M, K, z, steps, dt, rngs=None, keep=None):
         k += c
 
 
+def _generators(seeds):
+    """One generator per seed; ConfigInvalid for no seeds or a seed numpy
+    cannot take."""
+    try:
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"bad seed: {exc}") from None
+    if not rngs:
+        raise ConfigInvalid("need at least one seed")
+    return rngs
+
+
 def _start(cfg, seeds):
     """Step matrices, initial states (dim, len(seeds)) as `simulate`
     describes them, and one generator per seed."""
+    rngs = _generators(seeds)
     cl = assemble_stacked(cfg.model, cfg.protocol, cfg.graph)
     M, K = step_matrices(cl.A_cl, cl.B_cl, cfg.dt, cfg.integrator)
     Nn = cfg.graph.n_agents * cfg.model.n
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     Z = np.zeros((M.shape[0], len(seeds)))
     ic = cfg.initial_conditions
     for col, rng in enumerate(rngs):
@@ -217,12 +232,14 @@ def rms(signal, tail_fraction):
 
     signal is (T,) or (T, k); the value is the square root of the time
     average of the squared 2-norm over the last ceil(T * tail_fraction)
-    samples.
+    samples.  ConfigInvalid for an empty signal.
     """
     sig = np.atleast_1d(np.asarray(signal, dtype=float))
     if not (0.0 < tail_fraction < 1.0):
         raise ConfigInvalid(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
     T = sig.shape[0]
+    if T == 0:
+        raise ConfigInvalid("rms of an empty signal")
     start = T - int(math.ceil(T * tail_fraction))
     tail = sig[start:]
     sq = tail**2 if tail.ndim == 1 else (tail**2).sum(axis=1)
@@ -296,11 +313,11 @@ def white_noise_rms(A, B, C, dt, t_final, seeds, tail_fraction=0.5,
     noise (zero initial state); the sanity kernel behind the H2-as-RMS
     checks.  Seeds run as columns of one batched propagation."""
     _check_time_grid(dt, t_final, tail_fraction, integrator)
-    A, B, C = (np.atleast_2d(np.asarray(X, dtype=float)) for X in (A, B, C))
+    A, B, C = _as_system(A, B, C)
+    rngs = _generators(seeds)
     M, K = step_matrices(A, B, dt, integrator)
     steps = int(round(t_final / dt))
     tail_start = steps - int(math.ceil(steps * tail_fraction))
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     acc = np.zeros(len(rngs))
     for i, blk in _propagate(M, K, np.zeros((A.shape[0], len(rngs))), steps, dt, rngs):
         for v in ((C @ blk[max(0, tail_start + 1 - i):]) ** 2).sum(axis=1):

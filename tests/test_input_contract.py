@@ -1,0 +1,248 @@
+"""The input contract at the package boundary.
+
+Every public function that takes state-space matrices refuses a NaN
+entry, complex entries, a matrix of the wrong shape and an empty state
+(n = 0) with an H2SyncError subclass and no warning.  A realization is refused by every
+function that uses it with a model it does not fit.  Seeds, signals,
+graph headers and tolerances get typed errors as well, and the CLI
+exits 2 with one stderr line on the model and graph files below.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from h2sync.cases import case1_graph, triple_integrator, triple_integrator_full_state
+from h2sync.cli import main
+from h2sync.closedloop import assemble_p1, assemble_p2, assemble_stacked
+from h2sync.conditions import (
+    AgentModel,
+    check_clhp,
+    check_detectable,
+    check_disturbance_match,
+    check_minphase_leftinv,
+    check_stabilizable,
+    invariant_zeros,
+)
+from h2sync.errors import ConfigInvalid, DimensionMismatch, H2SyncError, ParseError
+from h2sync.graph import CommGraph, laplacian, parse_graph, reduced_spectrum_check
+from h2sync.linalg import (
+    h2_norm,
+    hinf_norm,
+    is_hurwitz,
+    solve_care_standard,
+    solve_filter_riccati,
+    solve_lyapunov,
+    spectral_abscissa,
+)
+from h2sync.protocol import controller_matrices, synthesize_p1, synthesize_p2
+from h2sync.sim import (
+    SimConfig,
+    monte_carlo_rms,
+    rms,
+    rms_vs_h2_consistency,
+    step_matrices,
+    white_noise_rms,
+)
+
+# a valid n = 2 system, the same matrix with a wrong shape, and n = 0;
+# W is the right-hand side of a Lyapunov equation (n x n)
+GOOD = dict(A=[[-1.0, 1.0], [0.0, -2.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]],
+            E=[[0.0], [1.0]], W=np.eye(2))
+WRONG_SHAPE = dict(A=np.ones((1, 2)), B=np.ones((3, 1)), C=np.ones((1, 3)),
+                   E=np.ones((3, 1)), W=np.eye(3))
+EMPTY = dict(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)),
+             E=np.zeros((0, 1)), W=np.zeros((0, 0)))
+
+# (function, the matrix each positional argument plays)
+MATRIX_FUNCTIONS = {
+    "AgentModel": (AgentModel, "ABCE"),
+    "solve_care_standard": (solve_care_standard, "AB"),
+    "solve_filter_riccati": (lambda A, E, C: solve_filter_riccati(A, E, C, 1.0, 0.5), "AEC"),
+    "solve_lyapunov": (solve_lyapunov, "AW"),
+    "h2_norm": (h2_norm, "ABC"),
+    "hinf_norm": (hinf_norm, "ABC"),
+    "spectral_abscissa": (spectral_abscissa, "A"),
+    "is_hurwitz": (is_hurwitz, "A"),
+    "check_stabilizable": (check_stabilizable, "AB"),
+    "check_detectable": (check_detectable, "AC"),
+    "check_clhp": (check_clhp, "A"),
+    "invariant_zeros": (invariant_zeros, "AEC"),
+    "check_minphase_leftinv": (check_minphase_leftinv, "AEC"),
+    "check_disturbance_match": (check_disturbance_match, "BE"),
+    "step_matrices": (lambda A, B: step_matrices(A, B, 0.01, "rk4"), "AB"),
+    "white_noise_rms": (lambda A, B, C: white_noise_rms(A, B, C, 0.01, 2.0, [0]), "ABC"),
+}
+
+
+def _with_nan(M):
+    M = np.array(M, dtype=float)
+    M.flat[-1] = np.nan
+    return M
+
+
+def _bad_arguments():
+    """(id, function, arguments): each argument in turn with a NaN, with
+    complex entries and with a wrong shape, then every argument at n = 0."""
+    for name, (fn, roles) in MATRIX_FUNCTIONS.items():
+        for k, role in enumerate(roles):
+            for label, bad in (("nan", _with_nan(GOOD[role])),
+                               ("complex", (1 + 1j) * np.asarray(GOOD[role])),
+                               ("shape", WRONG_SHAPE[role])):
+                args = [GOOD[r] for r in roles]
+                args[k] = bad
+                yield f"{name}-{label}-{role}", fn, args
+        yield f"{name}-n0", fn, [EMPTY[r] for r in roles]
+
+
+BAD = list(_bad_arguments())
+
+
+def _quietly(fn, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fn(*args)
+
+
+@pytest.mark.parametrize("name", MATRIX_FUNCTIONS)
+def test_valid_system_accepted(name):
+    fn, roles = MATRIX_FUNCTIONS[name]
+    _quietly(fn, *(GOOD[r] for r in roles))
+
+
+@pytest.mark.parametrize("fn, args", [case[1:] for case in BAD], ids=[case[0] for case in BAD])
+def test_bad_matrix_refused(fn, args):
+    with pytest.raises(H2SyncError):
+        _quietly(fn, *args)
+
+
+def test_zero_inputs_and_outputs_stay_legal():
+    A, B, C = GOOD["A"], np.zeros((2, 0)), np.zeros((0, 2))
+    model = AgentModel(A, B, C, np.zeros((2, 0)))
+    assert (model.m, model.p, model.w) == (0, 0, 0)
+    assert check_disturbance_match(GOOD["B"], np.zeros((2, 0)))[0]
+
+
+def _sim_config(model, real):
+    return SimConfig(model=model, graph=case1_graph(), protocol=real, t_final=1.0, dt=1e-2)
+
+
+class TestFit:
+    """A realization is used only with a model of its n, and a p1
+    realization only with a full-state coupled model."""
+
+    P1 = synthesize_p1(triple_integrator_full_state(), 2.0)
+    P2 = synthesize_p2(triple_integrator(), 4.0, delta_hint=4e-4)
+    PARTIAL = triple_integrator()
+    SCALAR_FULL = AgentModel.full_state([[0.0]], [[1.0]], [[1.0]])
+    SCALAR_PARTIAL = AgentModel([[0.0]], [[1.0]], [[1.0]], [[1.0]])
+    CASES = {
+        "p1-on-partial": (PARTIAL, P1),
+        "p1-n-mismatch": (SCALAR_FULL, P1),
+        "p2-n-mismatch": (SCALAR_PARTIAL, P2),
+    }
+
+    USERS = {
+        "assemble_p1": lambda m, r: assemble_p1(m, r, laplacian(case1_graph())),
+        "assemble_p2": lambda m, r: assemble_p2(m, r, laplacian(case1_graph())),
+        "assemble_stacked": lambda m, r: assemble_stacked(m, r, case1_graph()),
+        "controller_matrices": lambda m, r: controller_matrices(r, m),
+        "SimConfig": _sim_config,
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("user", USERS)
+    def test_refused(self, user, case):
+        model, real = self.CASES[case]
+        with pytest.raises(DimensionMismatch):
+            _quietly(self.USERS[user], model, real)
+
+    def test_fitting_pairs_accepted(self):
+        full = triple_integrator_full_state()
+        self.P1.require_fits(full)
+        self.P2.require_fits(self.PARTIAL)
+        self.P2.require_fits(full)  # p2 fits a C = I model too
+        assemble_stacked(full, self.P1, case1_graph())
+        _sim_config(self.PARTIAL, self.P2)
+
+
+class TestSeedsAndSignals:
+    @staticmethod
+    def config():
+        model = AgentModel.full_state([[0.0]], [[1.0]], [[1.0]])
+        graph = CommGraph(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        return SimConfig(model=model, graph=graph, protocol=synthesize_p1(model, 2.0),
+                         t_final=1.0, dt=1e-2, noise="white")
+
+    @pytest.mark.parametrize("seeds", [[], [-1], [0.5]])
+    def test_monte_carlo_rms(self, seeds):
+        with pytest.raises(ConfigInvalid):
+            _quietly(monte_carlo_rms, self.config(), seeds)
+
+    @pytest.mark.parametrize("seeds", [[], [-1]])
+    def test_white_noise_rms(self, seeds):
+        with pytest.raises(ConfigInvalid):
+            _quietly(white_noise_rms, GOOD["A"], GOOD["B"], GOOD["C"], 0.01, 2.0, seeds)
+
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_consistency_without_seeds(self, n_seeds):
+        with pytest.raises(ConfigInvalid):
+            _quietly(rms_vs_h2_consistency, self.config(), n_seeds)
+
+    @pytest.mark.parametrize("signal", [[], np.zeros((0, 3))])
+    def test_rms_of_empty_signal(self, signal):
+        with pytest.raises(ConfigInvalid):
+            _quietly(rms, signal, 0.5)
+
+
+class TestNoInputOrOutput:
+    """A map with no input (w = 0) or no output (p = 0) is zero."""
+
+    @pytest.mark.parametrize("B, C", [(np.zeros((2, 0)), GOOD["C"]),
+                                      (GOOD["B"], np.zeros((0, 2)))],
+                             ids=["w0", "p0"])
+    def test_norms_are_zero(self, B, C):
+        assert _quietly(hinf_norm, GOOD["A"], B, C) == 0.0
+        assert _quietly(h2_norm, GOOD["A"], B, C) == 0.0
+
+
+class TestGraphInputs:
+    def test_header_too_large_to_hold(self):
+        # numpy refuses 1e12 x 1e12 before allocating anything
+        with pytest.raises(ParseError, match="line 1"):
+            _quietly(parse_graph, "1000000000000\n1 2 1\n")
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_spectrum_tol_refused(self, tol):
+        with pytest.raises(DimensionMismatch, match="tol"):
+            _quietly(reduced_spectrum_check, laplacian(case1_graph()), tol)
+
+
+class TestCli:
+    """Each file is an input error: exit 2 and one stderr line."""
+
+    GRAPH = "3\n2 1 1\n3 2 1\n"
+    MODEL = "1 1 1 1\n-1\n1\n1\n1\n"
+
+    def run(self, tmp_path, capsys, argv, model=MODEL, graph=GRAPH):
+        (tmp_path / "m.txt").write_text(model)
+        (tmp_path / "g.txt").write_text(graph)
+        files = {"--model": str(tmp_path / "m.txt"), "--graph": str(tmp_path / "g.txt"),
+                 "--out": str(tmp_path / "out")}
+        code = main([x for a in argv for x in ((a, files[a]) if a in files else (a,))])
+        return code, capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--model", "--graph", "--out"],
+        ["synth", "--model", "--protocol", "p1", "--rho", "2", "--out"],
+        ["analyze", "--model", "--graph", "--protocol", "p1", "--rho", "2", "--out"],
+    ], ids=["check", "synth", "analyze"])
+    def test_empty_model(self, tmp_path, capsys, argv):
+        code, err = self.run(tmp_path, capsys, argv, model="0 0 0 0\n")
+        assert code == 2 and len(err) == 1 and err[0].startswith("input error:")
+
+    def test_graph_too_large_to_hold(self, tmp_path, capsys):
+        code, err = self.run(tmp_path, capsys, ["check", "--model", "--graph", "--out"],
+                             graph="1000000000000\n1 2 1\n")
+        assert code == 2 and len(err) == 1 and err[0].startswith("input error:")
