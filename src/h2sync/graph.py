@@ -5,6 +5,7 @@ flows from agent j to agent i.  Agent indices are 0-based in code; the
 text file format (see `parse_graph`) is 1-based.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,10 +112,10 @@ def reduced_spectrum_check(lp: LaplacianPair, tol: float, tols: Tolerances = DEF
     (True, pairing) where pairing is a list of (lambda_L, lambda_Lbar)
     pairs; raises SpectrumMismatch if any pair is further apart than
     `tol`, or if L does not have a simple zero eigenvalue (no spanning
-    tree, or a construction bug); DimensionMismatch unless tol is
-    finite and >= 0.
+    tree, or a construction bug); DimensionMismatch unless tol is a
+    real number, finite and >= 0.
     """
-    if not (0.0 <= tol < np.inf):
+    if not isinstance(tol, numbers.Real) or not (0.0 <= tol < np.inf):
         raise DimensionMismatch(f"tol must be finite and >= 0, got {tol}")
     ev_L = np.linalg.eigvals(lp.L)
     ev_R = np.linalg.eigvals(lp.L_reduced)

@@ -22,6 +22,7 @@ result depends on where blocks end.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,9 +31,9 @@ import scipy.linalg as sla
 
 from .closedloop import assemble_p1, assemble_p2, assemble_stacked, error_h2
 from .conditions import AgentModel
-from .errors import ConfigInvalid, Diverged
+from .errors import ConfigInvalid, DimensionMismatch, Diverged
 from .graph import CommGraph, laplacian
-from .linalg import _as_system
+from .linalg import _as_matrix, _as_system
 from .protocol import ProtocolRealization
 
 __all__ = [
@@ -88,13 +89,11 @@ class SimConfig:
         if self.noise not in ("off", "white"):
             raise ConfigInvalid(f"noise must be 'off' or 'white', got {self.noise!r}")
         if self.initial_conditions is not None:
-            ic = np.asarray(self.initial_conditions, dtype=float)
-            N, n = self.graph.n_agents, self.model.n
-            if ic.shape != (N, n):
-                raise ConfigInvalid(
-                    f"initial_conditions must have shape ({N}, {n}), got {ic.shape}"
-                )
-            self.initial_conditions = ic
+            try:
+                self.initial_conditions = _as_matrix(self.initial_conditions, "initial_conditions",
+                                                     self.graph.n_agents, self.model.n)
+            except DimensionMismatch as exc:  # a config field, not a system matrix
+                raise ConfigInvalid(str(exc)) from None
 
     @property
     def steps(self):
@@ -332,10 +331,13 @@ def rms_vs_h2_consistency(cfg: SimConfig, n_seeds: int) -> ConsistencyResult:
     square root of the seed-averaged squared RMS, matching the
     ensemble-RMS definition.  The ratio tends to 1 as dt -> 0,
     t_final -> inf, n_seeds -> inf; it is None when the loop is
-    disturbance-free (E = 0).
+    disturbance-free (E = 0).  ConfigInvalid unless n_seeds is an
+    integer >= 1.
     """
     if cfg.noise != "white":
         raise ConfigInvalid("rms_vs_h2_consistency requires noise='white'")
+    if not isinstance(n_seeds, numbers.Integral) or n_seeds < 1:
+        raise ConfigInvalid(f"n_seeds must be an integer >= 1, got {n_seeds!r}")
     assemble = assemble_p1 if cfg.protocol.kind == "p1" else assemble_p2
     predicted = error_h2(assemble(cfg.model, cfg.protocol, laplacian(cfg.graph)))
 

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 import h2sync.closedloop as closedloop
 import h2sync.linalg as linalg
+import h2sync.modal as modal
 from h2sync.cases import (
     case1_graph,
     case2_graph,
@@ -254,14 +255,15 @@ class TestDenseForm:
             np.testing.assert_array_equal(cl.B_cl, B)
             np.testing.assert_array_equal(cl.C_cl, C)
 
-    def test_triple_is_derived_from_modes_and_kept(self, designs):
+    def test_triple_is_derived_from_modes_and_not_kept(self, designs):
+        # every read derives the triple afresh; the loop stores none of it
         lp = laplacian(case2_graph())
         for model, real, assemble in designs:
             cl = assemble(model, real, lp)
-            A = cl.A_cl
-            for got, want in zip((A, cl.B_cl, cl.C_cl), cl.modes.dense()):
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert cl.A_cl is A
+            for _ in range(2):
+                for got, want in zip((cl.A_cl, cl.B_cl, cl.C_cl), cl.modes.dense()):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not {"A_cl", "B_cl", "C_cl"} & set(vars(cl))
 
     def test_assemblers_form_no_dense_loop(self, designs, monkeypatch):
         def refuse(self):
@@ -380,6 +382,86 @@ class TestErrorH2:
         v4 = error_h2(assemble_p2(m, synthesize_p2(m, 4.0, delta_hint=0.0004), lp))
         v10 = error_h2(assemble_p2(m, synthesize_p2(m, 10.0, delta_hint=0.0004), lp))
         assert v10 < v4
+
+
+def chain_graph(n_agents):
+    """A directed path 0 -> 1 -> ... : its reduced Laplacian is defective."""
+    adj = np.zeros((n_agents, n_agents))
+    adj[np.arange(1, n_agents), np.arange(n_agents - 1)] = 1.0
+    return CommGraph(adj)
+
+
+def hand_built_modes(rng, lp, b, n, coupled, output, rho=3.0, w=2):
+    """A ModeData loop with b random blocks of size n: Hurwitz diagonal
+    blocks (so every mode is Hurwitz for any Lbar with a spanning tree),
+    random blocks above them and zeros below, and two input channels
+    through Pi and Lbar Pi."""
+    d = b * n
+    D = np.kron(np.triu(np.ones((b, b))), np.ones((n, n))) * rng.standard_normal((d, d))
+    for p in range(b):
+        blk = slice(p * n, (p + 1) * n)
+        X = rng.standard_normal((n, n))
+        D[blk, blk] = X - (np.abs(np.linalg.eigvals(X)).max() + 0.5) * np.eye(n)
+    return closedloop.ModeData(
+        D=D, n=n, coupled=coupled, output=output, rho=rho, L_reduced=lp.L_reduced,
+        M=np.stack([lp.Pi, lp.L_reduced @ lp.Pi]), E=rng.standard_normal((2, d, w)),
+    )
+
+
+# (b, n, coupled, output): two, three and four blocks; the coupled block
+# first, in the middle and last; outputs other than block 0
+HAND_BUILT = [(2, 2, 0, 1), (2, 3, 1, 0), (3, 2, 0, 2), (3, 3, 1, 0), (3, 2, 2, 1),
+              (4, 2, 0, 3), (4, 1, 2, 1), (4, 2, 3, 2)]
+
+
+class TestModalKernel:
+    """The sub-block kernel against the dense Lyapunov solve on loops the
+    assemblers never build."""
+
+    @pytest.mark.parametrize("graph", ["chain5", "random4", "random7"])
+    @pytest.mark.parametrize("b, n, coupled, output", HAND_BUILT)
+    def test_hand_built_matches_dense(self, graph, b, n, coupled, output):
+        g = chain_graph(5) if graph == "chain5" else oracle_graph(graph)
+        lp = laplacian(g)
+        rng = np.random.default_rng([b, n, coupled, output, int(graph[-1])])
+        md = hand_built_modes(rng, lp, b, n, coupled, output)
+        A, B, C = md.dense()
+        h2, spectrum = modal.modal_h2(md, Tolerances())
+        assert h2 == pytest.approx(h2_norm(A, B, C), rel=1e-8)
+        assert spectrum.real.max() == pytest.approx(spectral_abscissa(A), rel=1e-3)
+        assert error_h2(ClosedLoop(None, None, None, g.n_agents, "error-form", md)) == h2
+
+    def test_chain_is_defective(self):
+        # Lbar - I is nilpotent of index N - 1: one Jordan block, so Lbar
+        # has no eigendecomposition to solve by
+        N = laplacian(chain_graph(5)).L_reduced - np.eye(4)
+        assert np.linalg.matrix_power(N, 3).any() and not np.linalg.matrix_power(N, 4).any()
+
+    def test_lapack_solves_grow_linearly_in_n(self, designs, monkeypatch):
+        # one triangular solve per mode for each one-sided coupled pair,
+        # a fixed number for the rest; a sweep over mode pairs would make
+        # m (m + 1) / 2 Sylvester solves, 45 and 780 here
+        calls = []
+
+        def counting(solver):
+            def solve(*args, **kw):
+                calls.append(solver)
+                return solver(*args, **kw)
+            return solve
+
+        monkeypatch.setattr(modal, "_trtrs", counting(modal._trtrs))
+        monkeypatch.setattr(modal, "_trsyl", counting(modal._trsyl))
+        counts = {}
+        for n_agents in (10, 40):
+            rng = np.random.default_rng([5, n_agents])
+            lp = laplacian(random_spanning_tree_graph(rng, n_agents)[0])
+            counts[n_agents] = []
+            for model, real, assemble in designs:
+                calls.clear()
+                error_h2(assemble(model, real, lp))
+                counts[n_agents].append(len(calls))
+        for small, large in zip(counts[10], counts[40]):
+            assert 0 < large <= 4 * small
 
 
 class TestScalingProbe:

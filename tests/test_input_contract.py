@@ -8,6 +8,7 @@ graph headers and tolerances get typed errors as well, and the CLI
 exits 2 with one stderr line on the model and graph files below.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -190,6 +191,25 @@ class TestSeedsAndSignals:
         with pytest.raises(ConfigInvalid):
             _quietly(rms_vs_h2_consistency, self.config(), n_seeds)
 
+    @pytest.mark.parametrize("n_seeds", [2.5, "3", None])
+    def test_consistency_seed_count_not_an_integer(self, n_seeds):
+        with pytest.raises(ConfigInvalid, match="n_seeds"):
+            _quietly(rms_vs_h2_consistency, self.config(), n_seeds)
+
+    @pytest.mark.parametrize("ic", [[[np.nan], [0.0]], [[np.inf], [0.0]], [[1.0], [-np.inf]],
+                                    [["a"], [0.0]], [[1j], [0.0]], [[1.0], [2.0], [3.0]]],
+                             ids=["nan", "inf", "minus-inf", "text", "complex", "shape"])
+    def test_initial_conditions_refused_up_front(self, ic):
+        # refused when the config is made, before any step is integrated
+        cfg = self.config()
+        with pytest.raises(ConfigInvalid, match="initial_conditions"):
+            _quietly(lambda: dataclasses.replace(cfg, initial_conditions=ic))
+
+    def test_initial_conditions_accepted(self):
+        cfg = self.config()
+        cfg = _quietly(lambda: dataclasses.replace(cfg, initial_conditions=[[1], [-1]]))
+        assert cfg.initial_conditions.dtype == float
+
     @pytest.mark.parametrize("signal", [[], np.zeros((0, 3))])
     def test_rms_of_empty_signal(self, signal):
         with pytest.raises(ConfigInvalid):
@@ -213,7 +233,7 @@ class TestGraphInputs:
         with pytest.raises(ParseError, match="line 1"):
             _quietly(parse_graph, "1000000000000\n1 2 1\n")
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, "x", None])
     def test_spectrum_tol_refused(self, tol):
         with pytest.raises(DimensionMismatch, match="tol"):
             _quietly(reduced_spectrum_check, laplacian(case1_graph()), tol)
