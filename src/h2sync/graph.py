@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+from scipy.sparse.csgraph import connected_components, min_weight_full_bipartite_matching
 
 from .errors import DimensionMismatch, ParseError, SpectrumMismatch
 from .linalg import _as_matrix
@@ -83,26 +83,21 @@ def has_spanning_tree(g: CommGraph):
     """Return (graph contains a directed spanning tree, list of roots).
 
     A root is a node from which every node is reachable along directed
-    edges; a_ij > 0 is the edge j -> i.  Roots are 0-based indices.
+    edges; a_ij > 0 is the edge j -> i.  Roots are 0-based indices in
+    ascending order.  A spanning tree exists exactly when one strongly
+    connected component has no edge entering it; its members are the
+    roots.
     """
     A = g.adjacency
-    N = g.n_agents
-    # children[j] = nodes reachable from j in one hop
-    children = [np.nonzero(A[:, j] > 0)[0] for j in range(N)]
-    roots = []
-    for r in range(N):
-        seen = np.zeros(N, dtype=bool)
-        seen[r] = True
-        stack = [r]
-        while stack:
-            u = stack.pop()
-            for v in children[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        if seen.all():
-            roots.append(r)
-    return bool(roots), roots
+    n_comp, labels = connected_components(csr_matrix(A), directed=True, connection="strong")
+    into, out_of = np.nonzero(A > 0)
+    cross = labels[into] != labels[out_of]
+    entered = np.zeros(n_comp, dtype=bool)
+    entered[labels[into[cross]]] = True
+    sources = np.flatnonzero(~entered)
+    if len(sources) != 1:
+        return False, []
+    return True, np.flatnonzero(labels == sources[0]).tolist()
 
 
 def reduced_spectrum_check(lp: LaplacianPair, tol: float, tols: Tolerances = DEFAULT):

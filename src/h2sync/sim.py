@@ -18,7 +18,17 @@ states in blocks of at most _BLOCK_BYTES and owns the divergence guard.
 `simulate` collects the blocks; `trajectory_blocks` hands them on, so
 the CLI writes trajectories in O(block + steps) memory; the Monte-Carlo
 helpers reduce each block to tail sums, added step by step so that no
-result depends on where blocks end.
+result depends on where blocks end.  `simulate` refuses a run whose
+trajectory would pass _SIMULATE_MAX_BYTES; such runs stream.
+
+The max-pair synchronization error of every path comes from one
+reduction, `_max_pair_sq`.  It copies each chunk of steps once into an
+agent-major layout whose last axis is steps x runs, then works agent by
+agent with in-place ufuncs over that contiguous axis.  Its results are
+bit-identical to summing the gathered pair differences with numpy:
+floating-point sums depend on their order, so it keeps numpy's order
+for the component sum (sequential for batched runs, pairwise for a
+single run), not only its values.
 """
 
 import math
@@ -52,6 +62,8 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12
 # size cap of one block of stored states and of one pair-error chunk
 _BLOCK_BYTES = 2 << 20
+# the most `simulate` may hold in memory; longer runs stream instead
+_SIMULATE_MAX_BYTES = 1 << 30
 
 
 def _check_time_grid(dt, t_final, tail_fraction, integrator):
@@ -206,19 +218,66 @@ def _start(cfg, seeds):
     return M, K, Z, rngs
 
 
+def _add_in_order(D, lo, hi, pairwise):
+    """D[:, lo] += D[:, lo+1] + ... + D[:, hi-1], in place, in the order
+    np.add.reduce takes: sequential, or with `pairwise` the blocked
+    pairwise order it uses along a contiguous axis (8 running sums for
+    8 to 128 terms, halves split on a multiple of 8 above that).  Below
+    8 terms the two orders are the same."""
+    n = hi - lo
+    if not pairwise or n < 8:
+        for k in range(lo + 1, hi):
+            D[:, lo] += D[:, k]
+    elif n > 128:
+        half = n // 2 - n // 2 % 8
+        _add_in_order(D, lo, lo + half, True)
+        _add_in_order(D, lo + half, hi, True)
+        D[:, lo] += D[:, lo + half]
+    else:
+        end = hi - n % 8
+        for k in range(lo + 8, end, 8):
+            D[:, lo : lo + 8] += D[:, k : k + 8]
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            D[:, lo + a] += D[:, lo + b]
+        for k in range(end, hi):
+            D[:, lo] += D[:, k]
+
+
 def _max_pair_sq(X):
     """X (T, N, n[, s]) -> per-step max over agent pairs of ||x_i - x_j||^2.
 
-    Pairs i <= j only, since x_j - x_i is exactly -(x_i - x_j); the
-    diagonal makes a non-finite state give NaN, as all N x N pairs do."""
-    T, N = X.shape[:2]
-    I, J = np.triu_indices(N)
-    rows = max(1, _BLOCK_BYTES // (8 * len(I) * math.prod(X.shape[2:])))
-    out = np.empty((T,) + X.shape[3:])
+    Each chunk of steps is copied once to Y (N, n, steps x runs), so that
+    every operation below runs over one contiguous step-and-run axis
+    instead of gathering all N(N+1)/2 pair differences.  Then, for each
+    agent i, the differences to agents j >= i are squared in place, their
+    components summed and a running maximum kept.  Pairs i <= j suffice,
+    since x_j - x_i is exactly -(x_i - x_j); the diagonal stays, so a
+    non-finite state gives NaN, as all N x N pairs do.
+
+    The result is bit-identical to (D**2).sum(axis=2).max(axis=1) over
+    the gathered differences D (T, pairs, n[, s]): the component sum
+    keeps that reduction's order, which is sequential over batched runs
+    and numpy's pairwise order for a single run (n >= 8)."""
+    (T, N, n), run_shape = X.shape[:3], X.shape[3:]
+    runs = math.prod(run_shape)
+    X = X.reshape(T, N, n, runs)
+    rows = max(1, _BLOCK_BYTES // (8 * N * n * runs))
+    # the diagonal pair gives 0 for a finite state, so 0 moves no maximum
+    out = np.zeros((T, runs))
+    Y = np.empty((N, n, min(rows, T), runs))
+    D = np.empty((N, n, Y.shape[2] * runs))
     for a in range(0, T, rows):
-        D = X[a : a + rows, I] - X[a : a + rows, J]
-        out[a : a + rows] = (D**2).sum(axis=2).max(axis=1)
-    return out
+        c = min(rows, T - a)
+        Y[:, :, :c] = np.moveaxis(X[a : a + c], 0, 2)
+        y = Y[:, :, :c].reshape(N, n, c * runs)
+        best = out[a : a + c].reshape(-1)
+        for i in range(N):
+            d = D[: N - i, :, : c * runs]
+            np.subtract(y[i:], y[i], out=d)
+            np.multiply(d, d, out=d)
+            _add_in_order(d, 0, n, pairwise=runs == 1)
+            np.maximum(best, d[:, 0].max(axis=0), out=best)
+    return out.reshape((T,) + run_shape)
 
 
 def _max_pair_error(states):
@@ -261,10 +320,19 @@ def simulate(cfg: SimConfig) -> SimResult:
     Initial agent states come from cfg.initial_conditions or are drawn
     uniformly from [-1, 1]^n per agent with the run seed; controller
     states start at zero.  Raises Diverged when the state norm passes
-    1e12 (unstable or misconfigured loop).
+    1e12 (unstable or misconfigured loop).  ConfigInvalid, before any
+    step, when the states, times and errors it keeps would pass
+    _SIMULATE_MAX_BYTES.
     """
     steps = cfg.steps
-    states = np.empty((steps + 1, cfg.graph.n_agents, cfg.model.n))
+    N, n = cfg.graph.n_agents, cfg.model.n
+    need = 8 * (steps + 1) * (N * n + 2)
+    if need > _SIMULATE_MAX_BYTES:
+        raise ConfigInvalid(
+            f"simulate would keep {need} bytes of trajectory (cap {_SIMULATE_MAX_BYTES}); "
+            "stream the run with trajectory_blocks or reduce it with monte_carlo_rms"
+        )
+    states = np.empty((steps + 1, N, n))
     for i, blk in trajectory_blocks(cfg):
         states[i : i + len(blk)] = blk
     sync = _max_pair_error(states)

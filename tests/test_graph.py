@@ -66,6 +66,25 @@ class TestLaplacian:
             assert np.abs(lp.L.sum(axis=1)).max() <= 1e-14
 
 
+def bfs_roots(adj):
+    """Oracle: the nodes from which a search along the edges j -> i
+    (a_ij > 0) reaches every node, in ascending order."""
+    N = len(adj)
+    roots = []
+    for r in range(N):
+        seen = {r}
+        frontier = [r]
+        while frontier:
+            u = frontier.pop()
+            for v in range(N):
+                if adj[v, u] > 0 and v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        if len(seen) == N:
+            roots.append(r)
+    return roots
+
+
 class TestSpanningTree:
     def test_case1_chain(self):
         ok, roots = has_spanning_tree(case1_graph())
@@ -81,23 +100,27 @@ class TestSpanningTree:
     def test_case2(self):
         ok, roots = has_spanning_tree(case2_graph())
         assert ok
-        # BFS oracle: reachability from each candidate root
-        adj = case2_graph().adjacency
-        N = 20
-        expected = []
-        for r in range(N):
-            seen = {r}
-            frontier = [r]
-            while frontier:
-                u = frontier.pop()
-                for v in range(N):
-                    if adj[v, u] > 0 and v not in seen:
-                        seen.add(v)
-                        frontier.append(v)
-            if len(seen) == N:
-                expected.append(r)
-        assert roots == expected
+        assert roots == bfs_roots(case2_graph().adjacency)
         assert roots == [0, 1, 2, 3, 4, 5]  # the 6-cycle nodes reach everything
+
+    def test_roots_match_bfs_oracle(self):
+        # the tier-1 graphs, then 1000 seeded random digraphs of every
+        # density, so that many have no spanning tree
+        rng = np.random.default_rng(31)
+        graphs = [case1_graph(), case2_graph(), CommGraph(np.zeros((4, 4)))]
+        graphs += [random_spanning_tree_graph(rng, int(rng.integers(2, 15)))[0]
+                   for _ in range(25)]
+        for _ in range(1000):
+            N = int(rng.integers(2, 13))
+            adj = rng.uniform(0.1, 2.0, (N, N)) * (rng.random((N, N)) < rng.uniform(0, 0.5))
+            np.fill_diagonal(adj, 0.0)
+            graphs.append(CommGraph(adj))
+        outcomes = set()
+        for g in graphs:
+            expected = bfs_roots(g.adjacency)
+            assert has_spanning_tree(g) == (bool(expected), expected)
+            outcomes.add(bool(expected))
+        assert outcomes == {True, False}
 
     def test_planted_root_found(self):
         rng = np.random.default_rng(23)

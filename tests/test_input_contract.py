@@ -9,12 +9,19 @@ exits 2 with one stderr line on the model and graph files below.
 """
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from h2sync.cases import case1_graph, triple_integrator, triple_integrator_full_state
+from h2sync.cases import (
+    CASE_DELTA,
+    case1_graph,
+    case2_graph,
+    triple_integrator,
+    triple_integrator_full_state,
+)
 from h2sync.cli import main
 from h2sync.closedloop import assemble_p1, assemble_p2, assemble_stacked
 from h2sync.conditions import (
@@ -43,6 +50,7 @@ from h2sync.sim import (
     monte_carlo_rms,
     rms,
     rms_vs_h2_consistency,
+    simulate,
     step_matrices,
     white_noise_rms,
 )
@@ -209,6 +217,22 @@ class TestSeedsAndSignals:
         cfg = self.config()
         cfg = _quietly(lambda: dataclasses.replace(cfg, initial_conditions=[[1], [-1]]))
         assert cfg.initial_conditions.dtype == float
+
+    def test_simulate_too_long_to_hold(self):
+        # case 2 over 1e4 s at dt = 1e-3 would keep about 5 GB of states:
+        # refused with the estimate before anything that size is allocated
+        model = triple_integrator()
+        cfg = SimConfig(model=model, graph=case2_graph(),
+                        protocol=synthesize_p2(model, 4.0, delta_hint=CASE_DELTA),
+                        t_final=1e4, dt=1e-3, noise="white")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigInvalid, match=r"4960000496 bytes.*trajectory_blocks"):
+                _quietly(simulate, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("signal", [[], np.zeros((0, 3))])
     def test_rms_of_empty_signal(self, signal):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,38 +253,87 @@ class TestRmsVsH2:
             rms_vs_h2_consistency(case1_p2_config(), 2)
 
 
+def dense_max_pair_sq(X):
+    """Reference: the full N x N broadcast of every pair difference of X
+    (T, N, n[, s]), squared and summed over the component axis in
+    numpy's own order -- the last, contiguous axis for one run (pairwise
+    from n = 8 on), a middle axis for batched runs (sequential), as the
+    Monte-Carlo step loop below sums it."""
+    D = X[:, :, None] - X[:, None]
+    return (D**2).sum(axis=3).max(axis=(1, 2))
+
+
 def dense_max_pair_error(states):
     """Reference: the full N x N broadcast of every pair difference."""
-    D = states[:, :, None, :] - states[:, None, :, :]
-    return np.sqrt((D**2).sum(axis=3).max(axis=(1, 2)))
+    return np.sqrt(dense_max_pair_sq(states))
 
 
-def seeded_states(T, N, n, seed):
-    """Random states with -0.0, subnormal, huge, inf and nan entries."""
+def seeded_states(shape, seed):
+    """Random states with -0.0, subnormal, huge, inf and nan entries, each
+    value in about one step in 20, so that most steps stay finite."""
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((T, N, n)) * 10.0 ** rng.integers(-5, 5, (T, N, n))
+    X = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, shape)
     special = [-0.0, 5e-324, 1e300, -1e300, np.inf, -np.inf, np.nan]
     for value in special:
-        X.reshape(-1)[rng.choice(X.size, size=max(1, X.size // 200), replace=False)] = value
+        X.reshape(-1)[rng.choice(X.size, size=max(1, shape[0] // 20), replace=False)] = value
     return X
 
 
+def traced_peak(fn, *args):
+    """Peak bytes allocated while fn runs, less the bytes it returns."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak - result.nbytes
+
+
 class TestPairError:
+    # n = 8 is the first length numpy sums pairwise along a contiguous axis
     @pytest.mark.parametrize("N", [2, 20])
-    @pytest.mark.parametrize("n", [3, 9])
+    @pytest.mark.parametrize("n", [3, 8, 9, 17])
     def test_matches_dense_broadcast(self, N, n, monkeypatch):
-        X = seeded_states(300, N, n, seed=N * 100 + n)
+        # one run (T, N, n) and three batched runs (T, N, n, s), the same
+        # kind of values; every pair of each state is in the reference
+        single = seeded_states((300, N, n), seed=N * 100 + n)
+        batched = seeded_states((100, N, n, 3), seed=N * 100 + n + 1)
         with np.errstate(invalid="ignore", over="ignore"):
-            expect = dense_max_pair_error(X)
-            assert np.isnan(expect).any() and np.isinf(expect).any()
-            assert np.array_equal(_max_pair_error(X), expect, equal_nan=True)
-            # chunk boundaries inside the array
-            monkeypatch.setattr(sim, "_BLOCK_BYTES", 8 * N * N * n * 7)
-            assert np.array_equal(_max_pair_error(X), expect, equal_nan=True)
+            for X in (single, batched):
+                expect = dense_max_pair_sq(X)
+                assert np.isnan(expect).any() and np.isinf(expect).any()
+                assert np.isfinite(expect).mean() > 0.5
+                # the second size puts chunk boundaries inside the array
+                for block_bytes in (sim._BLOCK_BYTES, 8 * N * N * n * 7):
+                    monkeypatch.setattr(sim, "_BLOCK_BYTES", block_bytes)
+                    assert np.array_equal(sim._max_pair_sq(X), expect, equal_nan=True)
+                    assert np.array_equal(_max_pair_error(X), np.sqrt(expect),
+                                          equal_nan=True)
+
+    @pytest.mark.parametrize("n", [129, 300])
+    def test_long_states_keep_numpy_split(self, n):
+        # past 128 terms numpy's pairwise sum splits in halves
+        X = np.random.default_rng(n).standard_normal((40, 3, n)) * 1e3
+        assert np.array_equal(_max_pair_error(X), dense_max_pair_error(X))
 
     def test_finite_rows_exact(self):
         X = np.random.default_rng(1).standard_normal((50, 20, 9))
         assert np.array_equal(_max_pair_error(X), dense_max_pair_error(X))
+
+    @pytest.mark.parametrize("fn, shape", [(_max_pair_error, (20000, 20, 3)),
+                                           (sim._max_pair_sq, (2000, 20, 3, 20))],
+                             ids=["single", "batched"])
+    def test_peak_allocation_is_a_few_chunks(self, fn, shape):
+        # beyond the array it returns, the reduction holds two chunk-sized
+        # buffers (the dense gather held four), however many steps it gets
+        rng = np.random.default_rng(2)
+        peaks = [traced_peak(fn, rng.standard_normal((T,) + shape[1:]))
+                 for T in (shape[0] // 4, shape[0])]
+        assert max(peaks) <= 2.5 * sim._BLOCK_BYTES
+        assert peaks[1] <= peaks[0] + sim._BLOCK_BYTES // 4
 
 
 def stacked_setup(cfg):
