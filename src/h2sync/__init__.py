@@ -87,6 +87,5 @@ from .sim import (
     step_matrices,
     trajectory_blocks,
 )
-from .tolerances import DEFAULT, Tolerances
 
 __version__ = "0.1.0"

@@ -38,6 +38,7 @@ _SOLVABILITY_ERRORS = (PreconditionFailed, RhoOutOfRange)
 
 
 def _rho_list(text):
+    """The --rho list: numbers >= 1, no two alike under %g (which names their outputs)."""
     try:
         rhos = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -49,6 +50,11 @@ def _rho_list(text):
             require_rho(r)
     except RhoOutOfRange as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    for i, r in enumerate(rhos):
+        for q in rhos[:i]:
+            if f"{q:g}" == f"{r:g}":
+                raise argparse.ArgumentTypeError(
+                    f"rho values {q!r} and {r!r} both print as {r:g} and would share output files")
     return rhos
 
 

@@ -39,7 +39,6 @@ from .graph import CommGraph, LaplacianPair, laplacian
 from .linalg import h2_norm
 from .modal import modal_h2
 from .protocol import ProtocolRealization, controller_matrices, design
-from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "ClosedLoop",
@@ -258,7 +257,7 @@ def reduce_to_differences(cl: ClosedLoop, model: AgentModel,
     return ClosedLoop(A_red, B_red, C_red, N, "error-form")
 
 
-def error_h2(cl: ClosedLoop, tols: Tolerances = DEFAULT):
+def error_h2(cl: ClosedLoop):
     """H2 norm of the disturbance-to-xbar map; requires A_cl Hurwitz.
 
     Loops with mode data are solved per graph mode (see `modal_h2`);
@@ -271,12 +270,11 @@ def error_h2(cl: ClosedLoop, tols: Tolerances = DEFAULT):
             "motion; use reduce_to_differences first"
         )
     if cl.modes is not None:
-        return modal_h2(cl.modes, tols)[0]
-    return h2_norm(cl.A_cl, cl.B_cl, cl.C_cl, tols)
+        return modal_h2(cl.modes)[0]
+    return h2_norm(cl.A_cl, cl.B_cl, cl.C_cl)
 
 
-def rho_scaling_probe(model: AgentModel, g: CommGraph, kind: str, rho_list,
-                      delta=None, tols: Tolerances = DEFAULT):
+def rho_scaling_probe(model: AgentModel, g: CommGraph, kind: str, rho_list, delta=None):
     """Design once, then realize + assemble + measure for each rho.
 
     Returns a list of (rho, h2, rho*h2, spectral_abscissa) rows,
@@ -284,13 +282,13 @@ def rho_scaling_probe(model: AgentModel, g: CommGraph, kind: str, rho_list,
     loop is formed).  For p2, `delta` fixes the low-gain parameter;
     None means the halving search runs per rho.
     """
-    des = design(model, kind, g, tols)
+    des = design(model, kind, g)
     assemble = assemble_p1 if kind == "p1" else assemble_p2
     lp = laplacian(g)
     rows = []
     for rho in sorted(rho_list):
         cl = assemble(model, des.realize(rho, delta), lp)
-        h2, spectrum = modal_h2(cl.modes, tols)
+        h2, spectrum = modal_h2(cl.modes)
         rows.append((rho, h2, rho * h2, float(spectrum.real.max())))
     return rows
 

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
+from . import tolerances
 from .errors import (
     DimensionMismatch,
     H2SyncError,
@@ -24,7 +25,6 @@ from .errors import (
 )
 from .graph import CommGraph, has_spanning_tree
 from .linalg import _as_matrix, _as_system, spectral_abscissa
-from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "AgentModel",
@@ -175,47 +175,46 @@ class SolvabilityReport:
         return "\n".join(lines) + "\n"
 
 
-def _clhp_margin(A, tols):
+def _clhp_margin(A):
     """How far right of the imaginary axis an eigenvalue or zero of A's
     system may lie and still count as in the closed left half plane."""
-    return tols.clhp_margin * (1.0 + np.linalg.norm(A, 2))
+    return tolerances.DEFAULT.clhp_margin * (1.0 + np.linalg.norm(A, 2))
 
 
-def _pbh_rank_ok(A, W, stacked, tols):
+def _pbh_rank_ok(A, W, stacked):
     """PBH test: full rank of [lI - A, W] (or [lI - A; W]) at every
     eigenvalue of A with nonnegative real part."""
     n = A.shape[0]
-    margin = _clhp_margin(A, tols)
+    margin = _clhp_margin(A)
     for lam in np.linalg.eigvals(A):
         if lam.real < -margin:
             continue
         M = lam * np.eye(n) - A
         pencil = np.vstack([M, W]) if stacked else np.hstack([M, W])
-        sv = np.linalg.svd(pencil, compute_uv=False)
-        if sv[min(pencil.shape) - 1] <= tols.rank_rel * sv[0]:
+        if _rank(pencil) < min(pencil.shape):
             return False
     return True
 
 
-def check_stabilizable(A, B, tols: Tolerances = DEFAULT) -> bool:
+def check_stabilizable(A, B) -> bool:
     """PBH stabilizability: rank [lI - A, B] = n at unstable eigenvalues."""
     A, B, _ = _as_system(A, B)
-    return _pbh_rank_ok(A, B, stacked=False, tols=tols)
+    return _pbh_rank_ok(A, B, stacked=False)
 
 
-def check_detectable(A, C, tols: Tolerances = DEFAULT) -> bool:
+def check_detectable(A, C) -> bool:
     """Dual PBH: rank [lI - A; C] = n at unstable eigenvalues."""
     A, _, C = _as_system(A, C=C)
-    return _pbh_rank_ok(A, C, stacked=True, tols=tols)
+    return _pbh_rank_ok(A, C, stacked=True)
 
 
-def check_clhp(A, tols: Tolerances = DEFAULT) -> bool:
+def check_clhp(A) -> bool:
     """All eigenvalues of A in the closed left half plane."""
     A = _as_system(A)[0]
-    return spectral_abscissa(A) <= _clhp_margin(A, tols)
+    return spectral_abscissa(A) <= _clhp_margin(A)
 
 
-def check_disturbance_match(B, E, tols: Tolerances = DEFAULT):
+def check_disturbance_match(B, E):
     """Test im E within im B; returns (matched, X) with X = argmin ||BX - E||."""
     B = _as_matrix(B, "B")
     if not B.shape[0]:
@@ -223,7 +222,7 @@ def check_disturbance_match(B, E, tols: Tolerances = DEFAULT):
     E = _as_matrix(E, "E", rows=B.shape[0])
     X, *_ = np.linalg.lstsq(B, E, rcond=None)
     resid = np.linalg.norm(B @ X - E, 2)
-    return bool(resid <= tols.rank_rel * (1.0 + np.linalg.norm(E, 2))), X
+    return bool(resid <= tolerances.DEFAULT.rank_rel * (1.0 + np.linalg.norm(E, 2))), X
 
 
 def _pencil(A, E, C, s):
@@ -233,14 +232,14 @@ def _pencil(A, E, C, s):
     )
 
 
-def _rank(M, tols):
+def _rank(M):
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > tols.rank_rel * sv[0]))
+    return int(np.sum(sv > tolerances.DEFAULT.rank_rel * sv[0]))
 
 
-def invariant_zeros(A, E, C, tols: Tolerances = DEFAULT):
+def invariant_zeros(A, E, C):
     """Finite invariant zeros of the channel (A, E, C, 0).
 
     Normal rank is certified at two random probe points with |s| in
@@ -267,7 +266,7 @@ def invariant_zeros(A, E, C, tols: Tolerances = DEFAULT):
                 return s
         raise H2SyncError("could not draw a probe point away from the spectrum of A")
 
-    normal_rank = max(_rank(_pencil(A, E, C, draw_point()), tols) for _ in range(2))
+    normal_rank = max(_rank(_pencil(A, E, C, draw_point())) for _ in range(2))
     if normal_rank < n + w:
         raise RankDeficientEverywhere(
             f"system pencil has normal rank {normal_rank} < n + w = {n + w}; "
@@ -290,7 +289,7 @@ def invariant_zeros(A, E, C, tols: Tolerances = DEFAULT):
     # rounding splits the infinite zero structure of high-relative-degree
     # channels into finite pairs of magnitude ~eps^(-1/k); anything beyond
     # the trust radius is classified as numerically infinite
-    far = tols.zero_infinity_radius * (1.0 + np.linalg.norm(A, 2))
+    far = tolerances.DEFAULT.zero_infinity_radius * (1.0 + np.linalg.norm(A, 2))
     zeros = []
     for a, b in zip(alpha, beta):
         if np.abs(b) <= 1e-12 * max(1.0, np.abs(a)):
@@ -300,39 +299,38 @@ def invariant_zeros(A, E, C, tols: Tolerances = DEFAULT):
             continue
         if p != w:
             sv = np.linalg.svd(_pencil(A, E, C, z), compute_uv=False)
-            if sv[min(n + p, n + w) - 1] > tols.rank_rel * max(sv[0], 1.0) * 1e3:
+            rank_floor = tolerances.DEFAULT.rank_rel * max(sv[0], 1.0) * 1e3
+            if sv[min(n + p, n + w) - 1] > rank_floor:
                 continue
         zeros.append(complex(z))
     return sorted(zeros, key=lambda z: (z.real, z.imag))
 
 
-def check_minphase_leftinv(A, E, C, tols: Tolerances = DEFAULT):
+def check_minphase_leftinv(A, E, C):
     """Return (minimum phase and left invertible, finite invariant zeros).
 
     zeros is None when the channel is not left invertible.
     """
     A, E, C = _as_system(A, E, C, names="AEC")
     try:
-        zeros = invariant_zeros(A, E, C, tols)
+        zeros = invariant_zeros(A, E, C)
     except RankDeficientEverywhere:
         return False, None
-    margin = _clhp_margin(A, tols)
+    margin = _clhp_margin(A)
     minphase = all(z.real < -margin for z in zeros)
     return bool(minphase), zeros
 
 
-def full_report(
-    model: AgentModel, g: Optional[CommGraph] = None, tols: Tolerances = DEFAULT
-):
+def full_report(model: AgentModel, g: Optional[CommGraph] = None):
     """Aggregate every applicable solvability check into one report; the
     model-only conditions when no graph is given."""
-    stab = check_stabilizable(model.A, model.B, tols)
-    detect = check_detectable(model.A, model.C, tols)
-    clhp = check_clhp(model.A, tols)
+    stab = check_stabilizable(model.A, model.B)
+    detect = check_detectable(model.A, model.C)
+    clhp = check_clhp(model.A)
     tree = None if g is None else has_spanning_tree(g)[0]
-    matched, X = check_disturbance_match(model.B, model.E, tols)
+    matched, X = check_disturbance_match(model.B, model.E)
     if model.coupling_kind == "partial-state":
-        minphase, zeros = check_minphase_leftinv(model.A, model.E, model.C, tols)
+        minphase, zeros = check_minphase_leftinv(model.A, model.E, model.C)
     else:
         minphase, zeros = True, []
     return SolvabilityReport(

@@ -12,9 +12,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, min_weight_full_bipartite_matching
 
+from . import tolerances
 from .errors import DimensionMismatch, ParseError, SpectrumMismatch
 from .linalg import _as_matrix
-from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "CommGraph",
@@ -100,7 +100,7 @@ def has_spanning_tree(g: CommGraph):
     return True, np.flatnonzero(labels == sources[0]).tolist()
 
 
-def reduced_spectrum_check(lp: LaplacianPair, tol: float, tols: Tolerances = DEFAULT):
+def reduced_spectrum_check(lp: LaplacianPair, tol: float):
     """Match each eigenvalue of L_reduced to a nonzero eigenvalue of L.
 
     Uses optimal bipartite matching on complex distance.  Returns
@@ -114,7 +114,7 @@ def reduced_spectrum_check(lp: LaplacianPair, tol: float, tols: Tolerances = DEF
         raise DimensionMismatch(f"tol must be finite and >= 0, got {tol}")
     ev_L = np.linalg.eigvals(lp.L)
     ev_R = np.linalg.eigvals(lp.L_reduced)
-    zero_band = tols.zero_eig * (1.0 + np.linalg.norm(lp.L, 2))
+    zero_band = tolerances.DEFAULT.zero_eig * (1.0 + np.linalg.norm(lp.L, 2))
     zero_idx = np.nonzero(np.abs(ev_L) < zero_band)[0]
     if len(zero_idx) != 1:
         raise SpectrumMismatch(

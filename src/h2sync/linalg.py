@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from . import tolerances
 from .errors import (
     DimensionMismatch,
     H2SyncError,
@@ -24,7 +25,6 @@ from .errors import (
     NotPositiveDefinite,
     RhoOutOfRange,
 )
-from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "StableSubspaceResult",
@@ -97,13 +97,13 @@ def is_hurwitz(A):
     return bool(spectrum.real.max() < 0.0), spectrum
 
 
-def require_hurwitz(spectrum, tols: Tolerances):
+def require_hurwitz(spectrum):
     """Raise NotHurwitz unless the spectral abscissa of `spectrum` is
-    below -tols.hurwitz_margin, the margin every Lyapunov solve needs."""
-    abscissa = spectrum.real.max()
-    if not abscissa < -tols.hurwitz_margin:
+    below -hurwitz_margin, the margin every Lyapunov solve needs."""
+    abscissa, margin = spectrum.real.max(), tolerances.DEFAULT.hurwitz_margin
+    if not abscissa < -margin:
         raise NotHurwitz(f"closed loop is not Hurwitz: spectral abscissa {abscissa:.3e} "
-                         f"is not below -{tols.hurwitz_margin:.1e}", spectrum)
+                         f"is not below -{margin:.1e}", spectrum)
 
 
 def require_rho(rho):
@@ -113,16 +113,16 @@ def require_rho(rho):
         raise RhoOutOfRange(f"rho must be finite and >= 1, got {rho}")
 
 
-def require_lyapunov_residual(res, a_norm, x_norm, spectrum, tols: Tolerances):
+def require_lyapunov_residual(res, a_norm, x_norm, spectrum):
     """Raise NotHurwitz unless the residual norm of A X + X A^T + W = 0
-    is at most tols.lyapunov_residual (1 + ||A||) (1 + ||X||); NaN fails."""
-    cap = tols.lyapunov_residual * (1.0 + a_norm) * (1.0 + x_norm)
+    is at most lyapunov_residual (1 + ||A||) (1 + ||X||); NaN fails."""
+    cap = tolerances.DEFAULT.lyapunov_residual * (1.0 + a_norm) * (1.0 + x_norm)
     if not res <= cap:
         raise NotHurwitz(f"Lyapunov residual {res:.3e} exceeds tolerance {cap:.3e} "
                          "(A is too close to the imaginary axis)", spectrum)
 
 
-def _solve_care(A, mid, Q, residual_cap, tols):
+def _solve_care(A, mid, Q, residual_cap):
     """Stabilizing solution of A^T X + X A - X mid X + Q = 0.
 
     `mid` and `Q` must be symmetric.  The Hamiltonian
@@ -134,7 +134,7 @@ def _solve_care(A, mid, Q, residual_cap, tols):
     n = A.shape[0]
     H = np.block([[A, -mid], [-Q, -A.T]])
     ham_eigs = np.linalg.eigvals(H)
-    on_axis = ham_eigs[_on_imag_axis(ham_eigs, tols)]
+    on_axis = ham_eigs[_on_imag_axis(ham_eigs)]
     if on_axis.size:
         raise NoStabilizingSolution(
             "Hamiltonian has eigenvalues on the imaginary axis: "
@@ -170,7 +170,7 @@ def _solve_care(A, mid, Q, residual_cap, tols):
             break
         try:
             Acl = A - mid @ X
-            D = solve_lyapunov(Acl.T, residual(X), tols)
+            D = solve_lyapunov(Acl.T, residual(X))
         except NotHurwitz:
             break
         X = 0.5 * ((X + D) + (X + D).T)
@@ -187,7 +187,7 @@ def _solve_care(A, mid, Q, residual_cap, tols):
     return X, res_norm
 
 
-def solve_care_standard(A, B, tols: Tolerances = DEFAULT):
+def solve_care_standard(A, B):
     """Solve A^T P + P A - P B B^T P + I = 0 for the stabilizing P > 0.
 
     Returns a StableSubspaceResult whose closed_loop_spectrum contains
@@ -196,8 +196,8 @@ def solve_care_standard(A, B, tols: Tolerances = DEFAULT):
     """
     A, B, _ = _as_system(A, B)
     n = A.shape[0]
-    cap = tols.care_residual * (1.0 + np.linalg.norm(A, 2)) ** 2
-    P, res_norm = _solve_care(A, B @ B.T, np.eye(n), cap, tols)
+    cap = tolerances.DEFAULT.care_residual * (1.0 + np.linalg.norm(A, 2)) ** 2
+    P, res_norm = _solve_care(A, B @ B.T, np.eye(n), cap)
 
     if np.linalg.eigvalsh(P).min() <= 0.0:
         raise NotPositiveDefinite(
@@ -207,7 +207,7 @@ def solve_care_standard(A, B, tols: Tolerances = DEFAULT):
     return StableSubspaceResult(P, res_norm, spectrum)
 
 
-def solve_filter_riccati(A, E, C, rho, delta, tols: Tolerances = DEFAULT):
+def solve_filter_riccati(A, E, C, rho, delta):
     """Solve Q A^T + A Q + E E^T - delta^-2 Q C^T C Q + rho^2 Q^2 = 0.
 
     The quadratic term is Q (delta^-2 C^T C - rho^2 I) Q, so the
@@ -225,9 +225,9 @@ def solve_filter_riccati(A, E, C, rho, delta, tols: Tolerances = DEFAULT):
         raise DimensionMismatch(f"delta must be finite and positive, got {delta}")
 
     mid = C.T @ C / delta**2 - rho**2 * np.eye(n)
-    cap = tols.filter_residual * (1.0 + np.linalg.norm(A, 2)) ** 2
+    cap = tolerances.DEFAULT.filter_residual * (1.0 + np.linalg.norm(A, 2)) ** 2
     try:
-        Q, res_norm = _solve_care(A.T, mid, E @ E.T, cap, tols)
+        Q, res_norm = _solve_care(A.T, mid, E @ E.T, cap)
     except NoStabilizingSolution as exc:
         raise NoStabilizingSolution(
             f"no stabilizing solution at delta={delta} "
@@ -236,7 +236,7 @@ def solve_filter_riccati(A, E, C, rho, delta, tols: Tolerances = DEFAULT):
         ) from exc
 
     q_scale = max(1.0, np.linalg.norm(Q, 2))
-    if np.linalg.eigvalsh(Q).min() <= tols.symmetry * q_scale:
+    if np.linalg.eigvalsh(Q).min() <= tolerances.DEFAULT.symmetry * q_scale:
         raise NotPositiveDefinite(
             f"filter Riccati solution is not positive definite at "
             f"delta={delta}, rho={rho}"
@@ -252,7 +252,7 @@ def solve_filter_riccati(A, E, C, rho, delta, tols: Tolerances = DEFAULT):
     return StableSubspaceResult(Q, res_norm, spectrum)
 
 
-def solve_lyapunov(A, W, tols: Tolerances = DEFAULT):
+def solve_lyapunov(A, W):
     """Solve A X + X A^T + W = 0 for Hurwitz A and symmetric W.
 
     Bartels-Stewart via the real Schur form (scipy's
@@ -262,7 +262,7 @@ def solve_lyapunov(A, W, tols: Tolerances = DEFAULT):
     """
     A, W, _ = _as_system(A, W, W, names="AWW")  # W: n rows and n columns
     _, spectrum = is_hurwitz(A)
-    require_hurwitz(spectrum, tols)
+    require_hurwitz(spectrum)
     with warnings.catch_warnings():
         # scipy only warns when it has to perturb the equation
         warnings.filterwarnings("error", 'Input "a" has an eigenvalue pair', RuntimeWarning)
@@ -274,18 +274,18 @@ def solve_lyapunov(A, W, tols: Tolerances = DEFAULT):
                              spectrum) from exc
     X = 0.5 * (X + X.T)
     res = np.linalg.norm(A @ X + X @ A.T + W, 2)
-    require_lyapunov_residual(res, np.linalg.norm(A, 2), np.linalg.norm(X, 2), spectrum, tols)
+    require_lyapunov_residual(res, np.linalg.norm(A, 2), np.linalg.norm(X, 2), spectrum)
     return X
 
 
-def h2_norm(A, B, C, tols: Tolerances = DEFAULT):
+def h2_norm(A, B, C):
     """H2 norm of the strictly proper system (A, B, C).
 
     sqrt(trace(C X C^T)) with the controllability Gramian X solving
     A X + X A^T + B B^T = 0.  A must be Hurwitz.
     """
     A, B, C = _as_system(A, B, C)
-    X = solve_lyapunov(A, B @ B.T, tols)
+    X = solve_lyapunov(A, B @ B.T)
     val = np.trace(C @ X @ C.T)
     return float(np.sqrt(max(val, 0.0)))
 
@@ -296,11 +296,11 @@ def _gain_at(A, B, C, omega):
     return np.linalg.svd(G, compute_uv=False).max(initial=0.0)  # 0 with no input or output
 
 
-def _on_imag_axis(eigs, tols: Tolerances):
-    """Mask of the eigenvalues whose real part is at most tols.imag_axis
+def _on_imag_axis(eigs):
+    """Mask of the eigenvalues whose real part is at most imag_axis
     times their own modulus.  A band set by ||H|| instead would swallow
     every eigenvalue that is small next to the largest one."""
-    return np.abs(eigs.real) <= tols.imag_axis * np.abs(eigs)
+    return np.abs(eigs.real) <= tolerances.DEFAULT.imag_axis * np.abs(eigs)
 
 
 def _resonant_frequency(spectrum):
@@ -320,7 +320,7 @@ def _resonant_frequency(spectrum):
 _HINF_MAX_STEPS = 30
 
 
-def hinf_norm(A, B, C, tols: Tolerances = DEFAULT):
+def hinf_norm(A, B, C):
     """H-infinity norm of the stable strictly proper system (A, B, C).
 
     Level-set iteration (Bruinsma & Steinbuch 1990; Boyd & Balakrishnan
@@ -332,17 +332,15 @@ def hinf_norm(A, B, C, tols: Tolerances = DEFAULT):
     H(gamma) and raises lo to the largest gain at the midpoints between
     consecutive crossings.  It stops when H(gamma) has no crossings or
     no midpoint gain exceeds lo, and returns (1 + tol) lo: within
-    relative tol = tols.hinf_rel, which must lie in (0, 1), of the norm,
-    and (1 + tol) times a measured gain.  A must pass `require_hurwitz`.
+    relative tol = `tolerances.DEFAULT.hinf_rel` of the norm, and
+    (1 + tol) times a measured gain.  A must pass `require_hurwitz`.
     Raises H2SyncError if the iteration has not stopped after
     _HINF_MAX_STEPS steps.
     """
     A, B, C = _as_system(A, B, C)
-    tol = tols.hinf_rel
-    if not (0.0 < tol < 1.0):
-        raise DimensionMismatch(f"tols.hinf_rel must be finite and in (0, 1), got {tol}")
+    tol = tolerances.DEFAULT.hinf_rel
     _, spectrum = is_hurwitz(A)
-    require_hurwitz(spectrum, tols)
+    require_hurwitz(spectrum)
     lo = max(_gain_at(A, B, C, 0.0), _gain_at(A, B, C, _resonant_frequency(spectrum)))
 
     BBt = B @ B.T
@@ -352,8 +350,8 @@ def hinf_norm(A, B, C, tols: Tolerances = DEFAULT):
         # G vanishes at both start frequencies.  Its largest Hankel
         # singular value is zero iff G is identically zero, and lies
         # below ||G||_inf otherwise, so half of it is a level G crosses.
-        X = solve_lyapunov(A, BBt, tols)
-        Y = solve_lyapunov(A.T, CtC, tols)
+        X = solve_lyapunov(A, BBt)
+        Y = solve_lyapunov(A.T, CtC)
         gamma = 0.5 * np.sqrt(max(np.linalg.eigvals(X @ Y).real.max(), 0.0))
         if gamma == 0.0:
             return 0.0
@@ -361,12 +359,12 @@ def hinf_norm(A, B, C, tols: Tolerances = DEFAULT):
     # with s = ||C|| / ||B||, whose off-diagonal blocks have equal norms.
     # At lightly damped peaks this form computes the crossings about
     # 1e-12 relative off the axis, the unscaled one 2-4e-9: beyond
-    # tols.imag_axis, so they would be missed
+    # imag_axis, so they would be missed
     s = np.linalg.norm(C, 2) / np.linalg.norm(B, 2)
     R, Q = s * BBt, CtC / s
     for _ in range(_HINF_MAX_STEPS):
         eigs = np.linalg.eigvals(np.block([[A, R / gamma], [-Q / gamma, -A.T]]))
-        omegas = np.unique(np.abs(eigs[_on_imag_axis(eigs, tols)].imag))
+        omegas = np.unique(np.abs(eigs[_on_imag_axis(eigs)].imag))
         midpoints = 0.5 * (omegas[:-1] + omegas[1:])
         peak = max((_gain_at(A, B, C, w) for w in midpoints), default=0.0)
         if peak <= lo:

@@ -18,7 +18,6 @@ from scipy.linalg.lapack import zgees as _gees, ztrsyl as _trsyl, ztrtrs as _trt
 
 from .errors import DimensionMismatch
 from .linalg import require_hurwitz, require_lyapunov_residual
-from .tolerances import Tolerances
 
 
 def _adj(X):
@@ -142,7 +141,7 @@ def _solve_both_coupled(Rc, T, rho, C):
     return Y, np.vdot(Z, Z).real
 
 
-def modal_h2(md, tols: Tolerances):
+def modal_h2(md):
     """(H2 norm, spectrum) of an error-form loop given as
     `closedloop.ModeData`, by Bartels-Stewart over the agent sub-blocks
     of the Gramian; the spectrum is the union of the mode spectra.
@@ -207,7 +206,7 @@ def modal_h2(md, tols: Tolerances):
     R = np.triu(Qh @ md.D @ Q)
     Rk = R - (rho * T.diagonal())[:, None, None] * np.diag(S)
     spectrum = Rk.diagonal(axis1=1, axis2=2).ravel()
-    require_hurwitz(spectrum, tols)
+    require_hurwitz(spectrum)
 
     # W_pq[k, l] = sum_ab (G_a G_b^H)_kl (Q^H E_a)_p (Q^H E_b)_q^H with
     # G_a = U^H M_a: m^2 x a^2 weights (Gam) of n x n outer products (negW,
@@ -264,6 +263,6 @@ def modal_h2(md, tols: Tolerances):
     top = np.linalg.eigvalsh(np.concatenate([Ykk, RkH @ Rk]))[:, -1]
     out = md.block(md.output)
     require_lyapunov_residual(np.sqrt(res_sq), np.sqrt(top[m:].max()), top[:m].max(),
-                              spectrum, tols)
+                              spectrum)
     h2sq = np.trace(Ykk[:, out, out], axis1=1, axis2=2).real.sum()
     return float(np.sqrt(max(0.0, h2sq))), spectrum

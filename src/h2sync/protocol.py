@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import tolerances
 from .conditions import AgentModel, full_report
 from .errors import (
     DeltaSearchExhausted,
@@ -37,7 +38,6 @@ from .errors import (
 )
 from .graph import CommGraph
 from .linalg import _as_matrix, _as_system, require_rho, solve_care_standard, solve_filter_riccati
-from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "ProtocolDesign",
@@ -86,7 +86,7 @@ class ProtocolRealization:
         blocks = [("P", self.P), ("Q_rho", self.Q_rho)] if p2 else [("P", self.P)]
         for label, M in blocks:
             asym = np.linalg.norm(M - M.T)
-            if asym > DEFAULT.symmetry * max(1.0, np.linalg.norm(M)):
+            if asym > tolerances.DEFAULT.symmetry * max(1.0, np.linalg.norm(M)):
                 raise DimensionMismatch(
                     f"{label} is not symmetric (Frobenius asymmetry {asym:.3g})")
 
@@ -120,7 +120,6 @@ class ProtocolDesign:
     model: AgentModel
     kind: str
     P: np.ndarray
-    tols: Tolerances
 
     def realize(self, rho: float, delta: Optional[float] = None):
         """The realization for one rho.  For p2, `delta` fixes the
@@ -133,7 +132,7 @@ class ProtocolDesign:
         diagnostics = []
         for d in _HALVING if delta is None else (delta,):
             try:
-                Q = solve_filter_riccati(m.A, m.E, m.C, rho, d, self.tols).solution
+                Q = solve_filter_riccati(m.A, m.E, m.C, rho, d).solution
             except NoStabilizingSolution as exc:
                 diagnostics.append((d, f"no stabilizing solution ({exc})"))
             except NotPositiveDefinite as exc:
@@ -148,8 +147,7 @@ class ProtocolDesign:
         )
 
 
-def design(model: AgentModel, kind: str, g: Optional[CommGraph] = None,
-           tols: Tolerances = DEFAULT) -> ProtocolDesign:
+def design(model: AgentModel, kind: str, g: Optional[CommGraph] = None) -> ProtocolDesign:
     """Per-model half of synthesis: check the conditions of protocol
     `kind` once (with the spanning-tree condition when a graph is given)
     and solve the control CARE once.  p1 also needs full-state coupling."""
@@ -161,23 +159,22 @@ def design(model: AgentModel, kind: str, g: Optional[CommGraph] = None,
         )
     # the partial-state conditions apply to C = I models as well under p2
     coupling = "full-state" if kind == "p1" else "partial-state"
-    full_report(replace(model, coupling_kind=coupling), g, tols).require()
-    care = solve_care_standard(model.A, model.B, tols)
-    return ProtocolDesign(model=model, kind=kind, P=care.solution, tols=tols)
+    full_report(replace(model, coupling_kind=coupling), g).require()
+    care = solve_care_standard(model.A, model.B)
+    return ProtocolDesign(model=model, kind=kind, P=care.solution)
 
 
-def synthesize_p1(model: AgentModel, rho: float, tols: Tolerances = DEFAULT):
+def synthesize_p1(model: AgentModel, rho: float):
     """Protocol 1 synthesis for a full-state-coupling model."""
     require_rho(rho)
-    return design(model, "p1", tols=tols).realize(rho)
+    return design(model, "p1").realize(rho)
 
 
-def synthesize_p2(model: AgentModel, rho: float, delta_hint: Optional[float] = None,
-                  tols: Tolerances = DEFAULT):
+def synthesize_p2(model: AgentModel, rho: float, delta_hint: Optional[float] = None):
     """Protocol 2 synthesis; searches delta by geometric halving from 1
     unless delta_hint is given."""
     require_rho(rho)
-    return design(model, "p2", tols=tols).realize(rho, delta_hint)
+    return design(model, "p2").realize(rho, delta_hint)
 
 
 def controller_matrices(real: ProtocolRealization, model: AgentModel):

@@ -322,7 +322,8 @@ def simulate(cfg: SimConfig) -> SimResult:
     states start at zero.  Raises Diverged when the state norm passes
     1e12 (unstable or misconfigured loop).  ConfigInvalid, before any
     step, when the states, times and errors it keeps would pass
-    _SIMULATE_MAX_BYTES.
+    _SIMULATE_MAX_BYTES.  rms_sync_error, like the CLI's summary.csv,
+    averages the last ceil((steps + 1) tail_fraction) of t_0, ..., t_steps.
     """
     steps = cfg.steps
     N, n = cfg.graph.n_agents, cfg.model.n
@@ -352,7 +353,8 @@ def monte_carlo_rms(cfg: SimConfig, seeds):
 
     Returns (rms_sync, rms_xbar): per-seed tail RMS of the max-pair
     synchronization error and of the stacked difference vector
-    xbar = (x_1 - x_N, ..., x_{N-1} - x_N).  Each seed's initial
+    xbar = (x_1 - x_N, ..., x_{N-1} - x_N), the tail being the last
+    ceil(steps tail_fraction) of t_1, ..., t_steps.  Each seed's initial
     conditions and noise stream match a single run with that seed.
     """
     if cfg.noise != "white":
@@ -376,9 +378,9 @@ def monte_carlo_rms(cfg: SimConfig, seeds):
 
 def white_noise_rms(A, B, C, dt, t_final, seeds, tail_fraction=0.5,
                     integrator="rk4"):
-    """Per-seed tail RMS of y = C z for dz = A z + B w under held white
-    noise (zero initial state); the sanity kernel behind the H2-as-RMS
-    checks.  Seeds run as columns of one batched propagation."""
+    """Per-seed RMS of y = C z for dz = A z + B w under held white noise
+    (zero initial state) over the tail of `monte_carlo_rms`; the sanity
+    kernel of the H2-as-RMS checks, seeds batched as columns."""
     _check_time_grid(dt, t_final, tail_fraction, integrator)
     A, B, C = _as_system(A, B, C)
     rngs = _generators(seeds)

@@ -1,8 +1,9 @@
 """Central numerical tolerances.
 
 Every threshold is relative to problem scale; the factors (1 + ||A||_2)
-etc. are applied at the point of use.  Pass a customized `Tolerances`
-to any solver to override the defaults.
+etc. are applied at the point of use.  Solvers, checks and norms read
+`tolerances.DEFAULT.<field>` when called; to try other values, replace
+`tolerances.DEFAULT` (e.g. with `dataclasses.replace`).
 """
 
 from dataclasses import dataclass

@@ -96,6 +96,23 @@ class TestSynth:
                   "--rho", "0.5", "--out", str(tmp)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("rhos, first, second", [
+        ("4.0000001,4.0000002", "4.0000001", "4.0000002"),
+        ("4,6,4", "4.0", "4.0"),
+    ])
+    def test_rho_values_that_print_alike_rejected(self, rhos, first, second,
+                                                  ref_files, capsys):
+        # each rho writes protocol_p2_rho{rho:g}.txt: one would be lost
+        model, _, tmp = ref_files
+        out = tmp / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--model", model, "--protocol", "p2", "--rho", rhos,
+                  "--delta", "0.0004", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"rho values {first} and {second}" in err
+        assert not out.exists()
+
     def test_p1_requires_identity_c(self, ref_files):
         # the reference model has C = [1 0 0], so forcing p1 is an input error
         model, _, tmp = ref_files
@@ -154,6 +171,19 @@ class TestSimulate:
         summary = (out / "summary.csv").read_text().splitlines()
         assert summary[0] == "case,rho,delta,seed,rms_sync_error"
         assert summary[1].startswith("custom,4,0.0004,5,")
+
+
+    def test_rho_values_that_print_alike_rejected(self, ref_files, capsys):
+        # both would write trajectory_custom_rho4.csv and a summary row `4`
+        model, graph, tmp = ref_files
+        out = tmp / "sim"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--model", model, "--graph", graph,
+                  "--protocol", "p2", "--rho", "4.0000001,4.0000002", "--delta", "0.0004",
+                  "--t-final", "1.0", "--dt", "0.01", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "rho values 4.0000001 and 4.0000002" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReproduce:

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 import h2sync.closedloop as closedloop
 import h2sync.linalg as linalg
 import h2sync.modal as modal
+from h2sync import tolerances
 from h2sync.cases import (
     case1_graph,
     case2_graph,
@@ -31,7 +32,6 @@ from h2sync.errors import DimensionMismatch, NotHurwitz, PreconditionFailed
 from h2sync.graph import CommGraph, laplacian
 from h2sync.linalg import h2_norm, hinf_norm, is_hurwitz, spectral_abscissa
 from h2sync.protocol import design, synthesize_p1, synthesize_p2
-from h2sync.tolerances import Tolerances
 
 
 def scalar_model_full():
@@ -184,6 +184,18 @@ class TestStackedCrossCheck:
         g, _ = random_spanning_tree_graph(rng, 50 if seed == 0 else int(rng.integers(2, 17)))
         for model, real, _ in designs:
             self.check(model, real, g)
+
+    # graph families that stress the scale-free claim: the directed path
+    # (L̄ one Jordan block) and the directed ring (smallest nonzero
+    # Laplacian eigenvalue near 0 as N grows); p1, and p2 with delta searched
+    @pytest.mark.parametrize("rho", [1.0, 4.0, 10.0])
+    @pytest.mark.parametrize("N", [3, 10, 20, 30])
+    @pytest.mark.parametrize("family", ["path", "ring"])
+    def test_graph_family(self, family, N, rho):
+        g = chain_graph(N) if family == "path" else ring_graph(N)
+        full, partial = triple_integrator_full_state(), triple_integrator()
+        self.check(full, synthesize_p1(full, rho), g)
+        self.check(partial, synthesize_p2(partial, rho), g)
 
     def test_reduction_rejects_error_form(self):
         m = triple_integrator()
@@ -348,13 +360,18 @@ class TestErrorH2:
 
     @pytest.mark.parametrize("path", ["modal", "dense"])
     def test_checks_follow_tolerances(self, designs, path):
+        base = tolerances.DEFAULT
         for model, real, assemble in designs:
             cl = assemble(model, real, laplacian(case1_graph()))
             cl = cl if path == "modal" else dense_only(cl)
-            with pytest.raises(NotHurwitz, match="spectral abscissa"):
-                error_h2(cl, Tolerances(hurwitz_margin=1e3))
-            with pytest.raises(NotHurwitz, match="Lyapunov residual"):
-                error_h2(cl, Tolerances(lyapunov_residual=0.0))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tolerances, "DEFAULT", dataclasses.replace(base, hurwitz_margin=1e3))
+                with pytest.raises(NotHurwitz, match="spectral abscissa"):
+                    error_h2(cl)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tolerances, "DEFAULT", dataclasses.replace(base, lyapunov_residual=0.0))
+                with pytest.raises(NotHurwitz, match="Lyapunov residual"):
+                    error_h2(cl)
 
     def test_mode_data_must_be_block_triangular(self, designs):
         model, real, assemble = designs[1]
@@ -388,6 +405,14 @@ def chain_graph(n_agents):
     """A directed path 0 -> 1 -> ... : its reduced Laplacian is defective."""
     adj = np.zeros((n_agents, n_agents))
     adj[np.arange(1, n_agents), np.arange(n_agents - 1)] = 1.0
+    return CommGraph(adj)
+
+
+def ring_graph(n_agents):
+    """A directed ring 0 -> 1 -> ... -> N-1 -> 0: its nonzero Laplacian
+    eigenvalues 1 - exp(2 pi i k / N) approach 0 as N grows."""
+    adj = np.zeros((n_agents, n_agents))
+    adj[np.arange(n_agents), np.arange(n_agents) - 1] = 1.0
     return CommGraph(adj)
 
 
@@ -426,7 +451,7 @@ class TestModalKernel:
         rng = np.random.default_rng([b, n, coupled, output, int(graph[-1])])
         md = hand_built_modes(rng, lp, b, n, coupled, output)
         A, B, C = md.dense()
-        h2, spectrum = modal.modal_h2(md, Tolerances())
+        h2, spectrum = modal.modal_h2(md)
         assert h2 == pytest.approx(h2_norm(A, B, C), rel=1e-8)
         assert spectrum.real.max() == pytest.approx(spectral_abscissa(A), rel=1e-3)
         assert error_h2(ClosedLoop(None, None, None, g.n_agents, "error-form", md)) == h2
