@@ -27,7 +27,7 @@ def triple_integrator() -> AgentModel:
     A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     B = np.array([[0.0], [0.0], [1.0]])
     C = np.array([[1.0, 0.0, 0.0]])
-    return AgentModel(A, B, C, B.copy(), coupling_kind="partial-state")
+    return AgentModel(A, B, C, B.copy())
 
 
 def triple_integrator_full_state() -> AgentModel:

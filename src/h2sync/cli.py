@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cases
 from .closedloop import probe_to_csv, rho_scaling_probe
-from .conditions import full_report, parse_model
+from .conditions import _coupling, full_report, parse_model
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -120,10 +120,10 @@ def build_parser():
 
 
 def _load_model(args):
-    """The model file, coupled as --protocol says: p1 full-state, p2
-    partial-state, none inferred from C."""
-    kind = {"p1": "full-state", "p2": "partial-state"}.get(args.protocol)
-    return parse_model(Path(args.model).read_text(), coupling_kind=kind)
+    """The model file; DimensionMismatch for --protocol p1 unless C = I."""
+    model = parse_model(Path(args.model).read_text())
+    _coupling(model, args.protocol)
+    return model
 
 
 def _load_graph(args):
@@ -143,7 +143,7 @@ def _write_config(out, args):
 
 
 def cmd_check(args):
-    report = full_report(_load_model(args), _load_graph(args))
+    report = full_report(_load_model(args), _load_graph(args), args.protocol)
     text = report.to_text()
     sys.stdout.write(text)
     out = _outdir(args)

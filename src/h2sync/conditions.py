@@ -1,12 +1,13 @@
 """Executable solvability checks for the two protocol designs.
 
-Full-state coupling requires: (a) (A,B) stabilizable, (b) all
-eigenvalues of A in the closed left half plane, (c) the graph contains
-a directed spanning tree, (d) im E contained in im B.
+Full-state coupling (Protocol 1, C = I) requires: (a) (A,B)
+stabilizable, (b) all eigenvalues of A in the closed left half plane,
+(c) the graph contains a directed spanning tree, (d) im E within im B.
 
-Partial-state coupling requires: (a) (A,B) stabilizable and (C,A)
-detectable, (b) closed-left-half-plane A, (c) (A,E,C,0) minimum phase
-and left invertible, (d) spanning tree, (e) im E contained in im B.
+Partial-state coupling (Protocol 2) requires: (a) (A,B) stabilizable and
+(C,A) detectable, (b) closed-left-half-plane A, (c) (A,E,C,0) minimum
+phase and left invertible, (d) spanning tree, (e) im E within im B.
+A model is its four matrices; `full_report`'s protocol kind picks the set.
 """
 
 from dataclasses import dataclass, field
@@ -53,23 +54,15 @@ class AgentModel:
     B: np.ndarray
     C: np.ndarray
     E: np.ndarray
-    coupling_kind: str = "partial-state"
 
     def __post_init__(self):
         self.A, self.B, self.C = _as_system(self.A, self.B, self.C)
         self.E = _as_system(self.A, self.E, names="AE")[1]
-        if self.coupling_kind not in ("full-state", "partial-state"):
-            raise DimensionMismatch(
-                f"coupling_kind must be full-state or partial-state, "
-                f"got {self.coupling_kind!r}"
-            )
-        if self.coupling_kind == "full-state" and not np.array_equal(self.C, np.eye(self.n)):
-            raise DimensionMismatch("full-state coupling requires C = I")
 
     @classmethod
     def full_state(cls, A, B, E):
         A = _as_system(A)[0]
-        return cls(A, B, np.eye(A.shape[0]), E, coupling_kind="full-state")
+        return cls(A, B, np.eye(A.shape[0]), E)
 
     @property
     def n(self):
@@ -181,31 +174,23 @@ def _clhp_margin(A):
     return tolerances.DEFAULT.clhp_margin * (1.0 + np.linalg.norm(A, 2))
 
 
-def _pbh_rank_ok(A, W, stacked):
-    """PBH test: full rank of [lI - A, W] (or [lI - A; W]) at every
-    eigenvalue of A with nonnegative real part."""
+def check_stabilizable(A, B) -> bool:
+    """PBH stabilizability: rank [lI - A, B] = n at unstable eigenvalues."""
+    A, B, _ = _as_system(A, B)
     n = A.shape[0]
     margin = _clhp_margin(A)
     for lam in np.linalg.eigvals(A):
         if lam.real < -margin:
             continue
-        M = lam * np.eye(n) - A
-        pencil = np.vstack([M, W]) if stacked else np.hstack([M, W])
-        if _rank(pencil) < min(pencil.shape):
+        if _rank(np.hstack([lam * np.eye(n) - A, B])) < n:
             return False
     return True
 
 
-def check_stabilizable(A, B) -> bool:
-    """PBH stabilizability: rank [lI - A, B] = n at unstable eigenvalues."""
-    A, B, _ = _as_system(A, B)
-    return _pbh_rank_ok(A, B, stacked=False)
-
-
 def check_detectable(A, C) -> bool:
-    """Dual PBH: rank [lI - A; C] = n at unstable eigenvalues."""
+    """Dual PBH: (C, A) is detectable iff (A^T, C^T) is stabilizable."""
     A, _, C = _as_system(A, C=C)
-    return _pbh_rank_ok(A, C, stacked=True)
+    return check_stabilizable(A.T, C.T)
 
 
 def check_clhp(A) -> bool:
@@ -321,20 +306,38 @@ def check_minphase_leftinv(A, E, C):
     return bool(minphase), zeros
 
 
-def full_report(model: AgentModel, g: Optional[CommGraph] = None):
-    """Aggregate every applicable solvability check into one report; the
-    model-only conditions when no graph is given."""
+def _full_state(model):
+    """Whether the agents exchange their full state, C = I."""
+    return np.array_equal(model.C, np.eye(model.n))
+
+
+def _coupling(model, kind):
+    """The coupling whose conditions protocol `kind` has (see `full_report`)."""
+    if kind not in (None, "p1", "p2"):
+        raise DimensionMismatch(f"unknown protocol kind {kind!r}")
+    if kind == "p1" and not _full_state(model):
+        raise DimensionMismatch("full-state coupling requires C = I")
+    full = kind == "p1" or kind is None and _full_state(model)
+    return "full-state" if full else "partial-state"
+
+
+def full_report(model: AgentModel, g: Optional[CommGraph] = None, kind: Optional[str] = None):
+    """Aggregate the solvability checks of protocol `kind` into one report;
+    the model-only conditions when no graph is given.  "p1" checks the
+    full-state conditions, "p2" the partial-state ones, None those of p1
+    exactly when C = I.  DimensionMismatch for p1 with C != I or another kind."""
+    coupling = _coupling(model, kind)
     stab = check_stabilizable(model.A, model.B)
     detect = check_detectable(model.A, model.C)
     clhp = check_clhp(model.A)
     tree = None if g is None else has_spanning_tree(g)[0]
     matched, X = check_disturbance_match(model.B, model.E)
-    if model.coupling_kind == "partial-state":
+    if coupling == "partial-state":
         minphase, zeros = check_minphase_leftinv(model.A, model.E, model.C)
     else:
         minphase, zeros = True, []
     return SolvabilityReport(
-        coupling_kind=model.coupling_kind,
+        coupling_kind=coupling,
         stabilizable=stab,
         detectable=detect,
         clhp_eigs=clhp,
@@ -346,12 +349,9 @@ def full_report(model: AgentModel, g: Optional[CommGraph] = None):
     )
 
 
-def parse_model(text: str, coupling_kind: str = None) -> AgentModel:
+def parse_model(text: str) -> AgentModel:
     """Parse the model text format: `n m p w` header, then the entries
-    of A (n rows), B (n rows), C (p rows), E (n rows), row-major.
-
-    coupling_kind defaults to full-state when C = I, else partial-state.
-    """
+    of A (n rows), B (n rows), C (p rows), E (n rows), row-major."""
     tokens = []
     for ln in text.splitlines():
         ln = ln.split("#", 1)[0].strip()
@@ -377,10 +377,8 @@ def parse_model(text: str, coupling_kind: str = None) -> AgentModel:
     except ValueError as exc:
         raise ParseError(f"bad matrix entry: {exc}")
     A, B, C, E = (v.reshape(s) for v, s in zip(np.split(vals, np.cumsum(sizes)[:-1]), shapes))
-    if coupling_kind is None:
-        coupling_kind = "full-state" if np.array_equal(C, np.eye(n)) else "partial-state"
     try:
-        return AgentModel(A, B, C, E, coupling_kind=coupling_kind)
+        return AgentModel(A, B, C, E)
     except DimensionMismatch as exc:
         raise ParseError(str(exc))
 

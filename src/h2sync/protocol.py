@@ -4,10 +4,11 @@ Both protocols are parameterized by a single scalar rho >= 1 and are
 built from the agent model alone; the communication graph and the
 number of agents never enter the synthesis (that is what makes the
 design scale-free).  Per model, `design` checks the solvability
-conditions and solves the control CARE for P, which does not depend on
-rho; per rho, `ProtocolDesign.realize` solves the Protocol 2 filter
-Riccati equation and searches delta.  `synthesize_p1` and
-`synthesize_p2` run both steps for one rho.
+conditions of protocol `kind` (`full_report(model, g, kind)`: p1 needs
+C = I) and solves the control CARE for P, which does not depend on rho;
+per rho, `ProtocolDesign.realize` solves the Protocol 2 filter Riccati
+equation and searches delta.  `synthesize_p1` and `synthesize_p2` run
+both steps for one rho.
 
 Protocol 1 (full-state coupling): controller state chi with
     dchi = A chi + B u + rho*zeta - rho*zetahat,   u = -rho B^T P chi
@@ -20,13 +21,13 @@ where Q > 0 solves the low-gain filter Riccati equation
     Q A^T + A Q + E E^T - delta^-2 Q C^T C Q + rho^2 Q^2 = 0.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import tolerances
-from .conditions import AgentModel, full_report
+from .conditions import AgentModel, _full_state, full_report
 from .errors import (
     DeltaSearchExhausted,
     DimensionMismatch,
@@ -99,17 +100,12 @@ class ProtocolRealization:
         `model`: the same n and, for p1, full-state coupling."""
         if self.n != model.n:
             raise DimensionMismatch(f"realization built for n={self.n}, model has n={model.n}")
-        if not _coupling_fits(model, self.kind):
+        if self.kind == "p1" and not _full_state(model):
             raise DimensionMismatch("a p1 realization needs a full-state coupled model (C = I)")
 
     @property
     def controller_state_dim(self):
         return self.n if self.kind == "p1" else 2 * self.n
-
-
-def _coupling_fits(model, kind):
-    """p1 feeds back the full state: it needs full-state coupling."""
-    return kind != "p1" or model.coupling_kind == "full-state"
 
 
 @dataclass
@@ -153,13 +149,11 @@ def design(model: AgentModel, kind: str, g: Optional[CommGraph] = None) -> Proto
     and solve the control CARE once.  p1 also needs full-state coupling."""
     if kind not in ("p1", "p2"):
         raise DimensionMismatch(f"unknown protocol kind {kind!r}")
-    if not _coupling_fits(model, kind):
+    if kind == "p1" and not _full_state(model):  # p1 feeds back the full state
         raise PreconditionFailed(
             "Protocol 1 requires full-state coupling (C = I)", condition="(coupling)"
         )
-    # the partial-state conditions apply to C = I models as well under p2
-    coupling = "full-state" if kind == "p1" else "partial-state"
-    full_report(replace(model, coupling_kind=coupling), g).require()
+    full_report(model, g, kind).require()
     care = solve_care_standard(model.A, model.B)
     return ProtocolDesign(model=model, kind=kind, P=care.solution)
 

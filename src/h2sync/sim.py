@@ -285,6 +285,23 @@ def _max_pair_error(states):
     return np.sqrt(_max_pair_sq(states))
 
 
+def _tail_start(T, tail_fraction):
+    """The tail window of every RMS here: the last ceil(T tail_fraction) of T samples."""
+    return T - int(math.ceil(T * tail_fraction))
+
+
+def _tail_rms(blocks, steps, tail_fraction, square_sum):
+    """Tail RMS over t_1, ..., t_steps of the `_propagate` blocks, with
+    square_sum mapping a block's tail rows to squared values per step.
+    Steps are added one at a time, so no result depends on where blocks end."""
+    tail_start = _tail_start(steps, tail_fraction)
+    acc = 0.0
+    for i, blk in blocks:
+        for v in square_sum(blk[max(0, tail_start + 1 - i):]):
+            acc = acc + v
+    return np.sqrt(acc / (steps - tail_start))
+
+
 def rms(signal, tail_fraction):
     """Root-mean-square of a sampled signal over the trailing window.
 
@@ -298,8 +315,7 @@ def rms(signal, tail_fraction):
     T = sig.shape[0]
     if T == 0:
         raise ConfigInvalid("rms of an empty signal")
-    start = T - int(math.ceil(T * tail_fraction))
-    tail = sig[start:]
+    tail = sig[_tail_start(T, tail_fraction):]
     sq = tail**2 if tail.ndim == 1 else (tail**2).sum(axis=1)
     return float(np.sqrt(sq.mean()))
 
@@ -361,19 +377,14 @@ def monte_carlo_rms(cfg: SimConfig, seeds):
         raise ConfigInvalid("monte_carlo_rms requires noise='white'")
     M, K, Z, rngs = _start(cfg, seeds)
     N, n, s = cfg.graph.n_agents, cfg.model.n, len(seeds)
-    steps = cfg.steps
-    tail_start = steps - int(math.ceil(steps * cfg.tail_fraction))
-    acc_sync = np.zeros(s)
-    acc_xbar = np.zeros(s)
-    for i, blk in _propagate(M, K, Z, steps, cfg.dt, rngs, keep=N * n):
-        X = blk[max(0, tail_start + 1 - i):].reshape(-1, N, n, s)
+
+    def square_sums(blk):
+        X = blk.reshape(-1, N, n, s)
         xb = X[:, : N - 1] - X[:, N - 1 : N]
-        for v in (xb**2).sum(axis=(1, 2)):
-            acc_xbar += v
-        for v in _max_pair_sq(X):
-            acc_sync += v
-    count = steps - tail_start
-    return np.sqrt(acc_sync / count), np.sqrt(acc_xbar / count)
+        return np.stack([_max_pair_sq(X), (xb**2).sum(axis=(1, 2))], axis=1)
+
+    blocks = _propagate(M, K, Z, cfg.steps, cfg.dt, rngs, keep=N * n)
+    return tuple(_tail_rms(blocks, cfg.steps, cfg.tail_fraction, square_sums))
 
 
 def white_noise_rms(A, B, C, dt, t_final, seeds, tail_fraction=0.5,
@@ -386,12 +397,8 @@ def white_noise_rms(A, B, C, dt, t_final, seeds, tail_fraction=0.5,
     rngs = _generators(seeds)
     M, K = step_matrices(A, B, dt, integrator)
     steps = int(round(t_final / dt))
-    tail_start = steps - int(math.ceil(steps * tail_fraction))
-    acc = np.zeros(len(rngs))
-    for i, blk in _propagate(M, K, np.zeros((A.shape[0], len(rngs))), steps, dt, rngs):
-        for v in ((C @ blk[max(0, tail_start + 1 - i):]) ** 2).sum(axis=1):
-            acc += v
-    return np.sqrt(acc / (steps - tail_start))
+    blocks = _propagate(M, K, np.zeros((A.shape[0], len(rngs))), steps, dt, rngs)
+    return _tail_rms(blocks, steps, tail_fraction, lambda blk: ((C @ blk) ** 2).sum(axis=1))
 
 
 def rms_vs_h2_consistency(cfg: SimConfig, n_seeds: int) -> ConsistencyResult:

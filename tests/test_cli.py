@@ -113,11 +113,14 @@ class TestSynth:
         assert f"rho values {first} and {second}" in err
         assert not out.exists()
 
-    def test_p1_requires_identity_c(self, ref_files):
+    @pytest.mark.parametrize("command", ["check", "synth"])
+    def test_p1_requires_identity_c(self, command, ref_files, capsys):
         # the reference model has C = [1 0 0], so forcing p1 is an input error
-        model, _, tmp = ref_files
-        assert main(["synth", "--model", model, "--protocol", "p1",
-                     "--rho", "4", "--out", str(tmp)]) == 2
+        model, graph, tmp = ref_files
+        args = ["--graph", graph] if command == "check" else ["--rho", "4"]
+        assert main([command, "--model", model, "--protocol", "p1",
+                     *args, "--out", str(tmp)]) == 2
+        assert capsys.readouterr().err == "input error: full-state coupling requires C = I\n"
 
     def test_p1_round_trip(self, tmp_path):
         from h2sync.cases import triple_integrator_full_state

@@ -34,11 +34,9 @@ def ctrb_rank(A, B):
 
 class TestAgentModel:
     def test_full_state_requires_identity_c(self):
+        m = AgentModel(np.zeros((2, 2)), np.eye(2), np.array([[1.0, 0]]), np.eye(2))
         with pytest.raises(DimensionMismatch):
-            AgentModel(
-                np.zeros((2, 2)), np.eye(2), np.array([[1.0, 0]]), np.eye(2),
-                coupling_kind="full-state",
-            )
+            full_report(m, kind="p1")
 
     def test_dims(self):
         m = triple_integrator()
@@ -204,7 +202,7 @@ class TestFullReport:
 
     def test_require_names_every_failed_condition(self):
         m = AgentModel([[1.0]], [[1.0]], [[1.0]], [[1.0]])
-        rep = full_report(m, CommGraph(np.zeros((3, 3))))
+        rep = full_report(m, CommGraph(np.zeros((3, 3))), kind="p2")
         with pytest.raises(PreconditionFailed) as exc:
             rep.require()
         assert exc.value.condition == "(b)"
@@ -260,11 +258,18 @@ class TestModelFormat:
         np.testing.assert_array_equal(m.B, m2.B)
         np.testing.assert_array_equal(m.C, m2.C)
         np.testing.assert_array_equal(m.E, m2.E)
-        assert m2.coupling_kind == "partial-state"
+        assert full_report(m2).coupling_kind == "partial-state"
 
     def test_full_state_inferred(self):
         m = AgentModel.full_state(np.zeros((2, 2)), np.eye(2), np.eye(2))
-        assert parse_model(model_to_text(m)).coupling_kind == "full-state"
+        assert full_report(parse_model(model_to_text(m))).coupling_kind == "full-state"
+
+    def test_report_survives_round_trip(self):
+        # a C = I model built by the constructor gets the same conditions
+        # as its text round trip
+        m = AgentModel([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], np.eye(2), [[0.0], [1.0]])
+        text = full_report(m, case1_graph()).to_text()
+        assert full_report(parse_model(model_to_text(m)), case1_graph()).to_text() == text
 
     @pytest.mark.parametrize(
         "text",

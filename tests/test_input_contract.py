@@ -31,6 +31,7 @@ from h2sync.conditions import (
     check_disturbance_match,
     check_minphase_leftinv,
     check_stabilizable,
+    full_report,
     invariant_zeros,
 )
 from h2sync.errors import ConfigInvalid, DimensionMismatch, H2SyncError, ParseError
@@ -174,6 +175,27 @@ class TestFit:
         self.P2.require_fits(full)  # p2 fits a C = I model too
         assemble_stacked(full, self.P1, case1_graph())
         _sim_config(self.PARTIAL, self.P2)
+
+
+class TestProtocolKind:
+    """full_report checks the conditions of protocol p1 (which needs
+    C = I) or p2, and without a kind those of p1 exactly when C = I."""
+
+    FULL, PARTIAL = triple_integrator_full_state(), triple_integrator()
+
+    @pytest.mark.parametrize("model, kind", [(FULL, "p3"), (FULL, ""), (FULL, 1),
+                                             (PARTIAL, "p1")],
+                             ids=["p3", "empty", "int", "p1-on-partial"])
+    def test_refused(self, model, kind):
+        with pytest.raises(DimensionMismatch):
+            _quietly(full_report, model, case1_graph(), kind)
+
+    @pytest.mark.parametrize("model, kind, coupling", [
+        (FULL, None, "full-state"), (FULL, "p1", "full-state"), (FULL, "p2", "partial-state"),
+        (PARTIAL, None, "partial-state"), (PARTIAL, "p2", "partial-state"),
+    ], ids=["full-none", "full-p1", "full-p2", "partial-none", "partial-p2"])
+    def test_accepted(self, model, kind, coupling):
+        assert _quietly(full_report, model, case1_graph(), kind).coupling_kind == coupling
 
 
 class TestSeedsAndSignals:

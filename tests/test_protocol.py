@@ -14,6 +14,7 @@ from h2sync.linalg import spectral_abscissa
 from h2sync.protocol import (
     ProtocolRealization,
     controller_matrices,
+    design,
     parse_realization,
     realization_to_text,
     synthesize_p1,
@@ -86,6 +87,12 @@ class TestSynthesizeP1:
     def test_requires_full_state(self):
         with pytest.raises(PreconditionFailed):
             synthesize_p1(triple_integrator(), 2.0)
+
+    def test_full_state_is_c_identity(self):
+        # a model with C = I is full-state coupled however it was built
+        m = triple_integrator_full_state()
+        plain = AgentModel(m.A, m.B, np.eye(m.n), m.E)
+        assert np.array_equal(design(plain, "p1").P, design(m, "p1").P)
 
     def test_precondition_b_named(self):
         m = AgentModel.full_state([[1.0]], [[1.0]], [[1.0]])
