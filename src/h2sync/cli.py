@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cases
 from .closedloop import probe_to_csv, rho_scaling_probe
-from .conditions import _coupling, full_report, parse_model
+from .conditions import full_report, parse_model
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
@@ -120,10 +120,7 @@ def build_parser():
 
 
 def _load_model(args):
-    """The model file; DimensionMismatch for --protocol p1 unless C = I."""
-    model = parse_model(Path(args.model).read_text())
-    _coupling(model, args.protocol)
-    return model
+    return parse_model(Path(args.model).read_text())
 
 
 def _load_graph(args):
@@ -154,10 +151,9 @@ def cmd_check(args):
 
 
 def cmd_synth(args):
-    model = _load_model(args)
+    des = design(_load_model(args), args.protocol)
     out = _outdir(args)
     _write_config(out, args)
-    des = design(model, args.protocol)
     for rho in args.rho:
         real = des.realize(rho, args.delta)
         path = out / f"protocol_{args.protocol}_rho{rho:g}.txt"

@@ -4,25 +4,25 @@ Two independent assembly paths are provided on purpose:
 
 * `assemble_p1` / `assemble_p2` write the system in synchronization-
   error coordinates (the compact Hurwitz form the analysis works on)
-  once, as `ModeData`; the dense A_cl, B_cl, C_cl are derived from it
-  (`ModeData.dense`, agent by agent) on every read and not kept;
+  once and return it as `ModeData`; its dense A_cl, B_cl, C_cl are
+  derived (`ModeData.dense`, agent by agent) on every read and not kept;
 * `assemble_stacked` builds the raw network of N plants plus their
   controllers straight from the protocol's canonical (Ac, Bc, Cc, Fc,
-  Hc) form and the full Laplacian; `reduce_to_differences` then
-  removes the marginally stable synchronized motion by the similarity
-  transform [[Pi], [e_N^T]] (x) I.
+  Hc) form and the full Laplacian, as a dense `ClosedLoop`;
+  `reduce_to_differences` then removes the marginally stable
+  synchronized motion by the similarity transform [[Pi], [e_N^T]] (x) I.
 
 The error-coordinate derivation is the bug-prone step, so tests diff
 the two paths against each other, entry by entry through the transfer
 function as well as through the H2 norm.
 
-`error_h2` analyzes error-form loops per graph mode with the kernel of
+`error_h2` analyzes a `ModeData` per graph mode with the kernel of
 `h2sync.modal`: ordered agent by agent, an error-form A_cl is
 I (x) D - rho Lbar (x) S, one block D of size d (2n for p1, 3n for p2)
 per agent, coupled through the graph on the e block only (S selects
 it).  The dense Lyapunov solve on A_cl and the stacked assembly stay the
-reference paths; loops without mode data (reduced stacked loops,
-hand-built loops) go through the dense solve.  Both paths take their
+reference paths; a dense `ClosedLoop` (a reduced stacked loop, a
+hand-built loop) goes through the dense solve.  Both paths take their
 Hurwitz-margin and Lyapunov-residual decisions from `linalg`
 (`require_hurwitz`, `require_lyapunov_residual`).
 """
@@ -67,6 +67,8 @@ class ModeData:
     identity on block `coupled` and zero elsewhere, and C_out selects
     block `output`.  M stacks the graph-side input factors (each
     (N-1) x N) and E the matching agent-side blocks (each d x w).
+    A_cl, B_cl and C_cl read the dense triple afresh each time; the
+    loop never keeps it, so it stays the size of its blocks.
     """
 
     D: np.ndarray
@@ -88,6 +90,14 @@ class ModeData:
         if np.tril(self.D.reshape(b, self.n, b, self.n).any(axis=(1, 3)), -1).any():
             raise DimensionMismatch("mode block is not block upper triangular")
 
+    @property
+    def n_agents(self):
+        return self.L_reduced.shape[0] + 1
+
+    A_cl = property(lambda self: self.dense()[0])
+    B_cl = property(lambda self: self.dense()[1])
+    C_cl = property(lambda self: self.dense()[2])
+
     def block(self, i):
         """Slice of the states of block i within an agent."""
         return slice(i * self.n, (i + 1) * self.n)
@@ -108,35 +118,20 @@ class ModeData:
 
 @dataclass
 class ClosedLoop:
-    """State-space map from stacked disturbances to synchronization errors.
+    """A dense state-space map from stacked disturbances to
+    synchronization errors.
 
     coordinates is "error-form" (difference coordinates, Hurwitz when
     the design conditions hold) or "stacked-form" (raw network,
-    marginally stable along the synchronized motion).  A loop holds its
-    dense A_cl, B_cl, C_cl, or (from the error-form assemblers) only
-    modes, the `ModeData` they are derived from on every read and never
-    kept: the loop stays the size of its mode data however often the
-    dense triple is read.
+    marginally stable along the synchronized motion).  The error-form
+    assemblers return `ModeData` instead.
     """
 
-    A_cl: np.ndarray | None
-    B_cl: np.ndarray | None
-    C_cl: np.ndarray | None
+    A_cl: np.ndarray
+    B_cl: np.ndarray
+    C_cl: np.ndarray
     n_agents: int
     coordinates: str
-    modes: ModeData | None = None
-
-    def __post_init__(self):
-        given = [M is not None for M in (self.A_cl, self.B_cl, self.C_cl)]
-        if self.modes is not None and not any(given):
-            del self.A_cl, self.B_cl, self.C_cl  # see __getattr__
-        elif not all(given):
-            raise DimensionMismatch("a loop needs its ModeData or all of A_cl, B_cl, C_cl")
-
-    def __getattr__(self, name):  # reached only for a triple left to the modes
-        if name not in ("A_cl", "B_cl", "C_cl"):
-            raise AttributeError(name)
-        return self.modes.dense()[("A_cl", "B_cl", "C_cl").index(name)]
 
 
 def _check_dims(model: AgentModel, real: ProtocolRealization, kind: str):
@@ -157,13 +152,12 @@ def assemble_p1(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
     _check_dims(model, real, "p1")
     n, rho = model.n, real.rho
     BBtP = model.B @ model.B.T @ real.P
-    modes = ModeData(
+    return ModeData(
         D=np.block([[model.A - rho * BBtP, rho * BBtP],
                     [np.zeros((n, n)), model.A]]),
         n=n, coupled=1, output=0, rho=rho, L_reduced=lp.L_reduced,
         M=lp.Pi[None], E=np.vstack([model.E, model.E])[None],
     )
-    return ClosedLoop(None, None, None, lp.n_agents, "error-form", modes)
 
 
 def assemble_p2(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair):
@@ -181,7 +175,7 @@ def assemble_p2(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
     BBtP = model.B @ model.B.T @ real.P
     filt = model.A - (real.Q_rho @ model.C.T @ model.C) / real.delta**2
     zn, zE = np.zeros((n, n)), np.zeros_like(model.E)
-    modes = ModeData(
+    return ModeData(
         D=np.block([[model.A - rho * BBtP, rho * BBtP, zn],
                     [zn, model.A, rho * np.eye(n)],
                     [zn, zn, filt]]),
@@ -189,7 +183,6 @@ def assemble_p2(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
         M=np.stack([lp.Pi, lp.L_reduced @ lp.Pi]),
         E=np.stack([np.vstack([model.E, model.E, zE]), np.vstack([zE, zE, model.E])]),
     )
-    return ClosedLoop(None, None, None, lp.n_agents, "error-form", modes)
 
 
 def assemble_stacked(model: AgentModel, real: ProtocolRealization, g: CommGraph):
@@ -227,7 +220,7 @@ def reduce_to_differences(cl: ClosedLoop, model: AgentModel,
     subsystem realizes the same disturbance-to-xbar map and is Hurwitz
     when the design conditions hold.
     """
-    if cl.coordinates != "stacked-form":
+    if not isinstance(cl, ClosedLoop) or cl.coordinates != "stacked-form":
         raise DimensionMismatch("reduce_to_differences expects a stacked-form loop")
     N = cl.n_agents
     n, nc = model.n, real.controller_state_dim
@@ -257,20 +250,20 @@ def reduce_to_differences(cl: ClosedLoop, model: AgentModel,
     return ClosedLoop(A_red, B_red, C_red, N, "error-form")
 
 
-def error_h2(cl: ClosedLoop):
+def error_h2(cl: ModeData | ClosedLoop):
     """H2 norm of the disturbance-to-xbar map; requires A_cl Hurwitz.
 
-    Loops with mode data are solved per graph mode (see `modal_h2`);
-    others by a dense Lyapunov solve on A_cl.  Stacked-form loops are
+    A `ModeData` is solved per graph mode (see `modal_h2`); a dense
+    `ClosedLoop` by a Lyapunov solve on A_cl.  Stacked-form loops are
     only marginally stable and are refused up front.
     """
+    if isinstance(cl, ModeData):
+        return modal_h2(cl)[0]
     if cl.coordinates == "stacked-form":
         raise NotHurwitz(
             "a stacked-form loop is marginally stable along the synchronized "
             "motion; use reduce_to_differences first"
         )
-    if cl.modes is not None:
-        return modal_h2(cl.modes)[0]
     return h2_norm(cl.A_cl, cl.B_cl, cl.C_cl)
 
 
@@ -287,8 +280,7 @@ def rho_scaling_probe(model: AgentModel, g: CommGraph, kind: str, rho_list, delt
     lp = laplacian(g)
     rows = []
     for rho in sorted(rho_list):
-        cl = assemble(model, des.realize(rho, delta), lp)
-        h2, spectrum = modal_h2(cl.modes)
+        h2, spectrum = modal_h2(assemble(model, des.realize(rho, delta), lp))
         rows.append((rho, h2, rho * h2, float(spectrum.real.max())))
     return rows
 

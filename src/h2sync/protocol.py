@@ -34,7 +34,6 @@ from .errors import (
     NoStabilizingSolution,
     NotPositiveDefinite,
     ParseError,
-    PreconditionFailed,
     RhoOutOfRange,
 )
 from .graph import CommGraph
@@ -146,13 +145,10 @@ class ProtocolDesign:
 def design(model: AgentModel, kind: str, g: Optional[CommGraph] = None) -> ProtocolDesign:
     """Per-model half of synthesis: check the conditions of protocol
     `kind` once (with the spanning-tree condition when a graph is given)
-    and solve the control CARE once.  p1 also needs full-state coupling."""
-    if kind not in ("p1", "p2"):
+    and solve the control CARE once.  p1 also needs full-state coupling,
+    which the report refuses with DimensionMismatch."""
+    if kind not in ("p1", "p2"):  # the report also takes None
         raise DimensionMismatch(f"unknown protocol kind {kind!r}")
-    if kind == "p1" and not _full_state(model):  # p1 feeds back the full state
-        raise PreconditionFailed(
-            "Protocol 1 requires full-state coupling (C = I)", condition="(coupling)"
-        )
     full_report(model, g, kind).require()
     care = solve_care_standard(model.A, model.B)
     return ProtocolDesign(model=model, kind=kind, P=care.solution)

@@ -113,14 +113,18 @@ class TestSynth:
         assert f"rho values {first} and {second}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["check", "synth"])
+    @pytest.mark.parametrize("command", ["check", "synth", "analyze", "simulate"])
     def test_p1_requires_identity_c(self, command, ref_files, capsys):
-        # the reference model has C = [1 0 0], so forcing p1 is an input error
+        # the reference model has C = [1 0 0], so forcing p1 is an input
+        # error, refused before any output is written
         model, graph, tmp = ref_files
-        args = ["--graph", graph] if command == "check" else ["--rho", "4"]
+        args = [] if command == "synth" else ["--graph", graph]
+        args += [] if command == "check" else ["--rho", "4"]
+        out = tmp / "out"
         assert main([command, "--model", model, "--protocol", "p1",
-                     *args, "--out", str(tmp)]) == 2
+                     *args, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "input error: full-state coupling requires C = I\n"
+        assert not out.exists()
 
     def test_p1_round_trip(self, tmp_path):
         from h2sync.cases import triple_integrator_full_state

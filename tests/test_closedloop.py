@@ -19,6 +19,7 @@ from h2sync.cases import (
 )
 from h2sync.closedloop import (
     ClosedLoop,
+    ModeData,
     assemble_p1,
     assemble_p2,
     assemble_stacked,
@@ -46,9 +47,9 @@ def two_agent_chain():
     return CommGraph(np.array([[0.0, 0], [1, 0]]))
 
 
-def dense_only(cl: ClosedLoop) -> ClosedLoop:
-    """The same loop without mode data, so error_h2 takes the dense path."""
-    return ClosedLoop(*cl.modes.dense(), cl.n_agents, cl.coordinates)
+def dense_only(md: ModeData) -> ClosedLoop:
+    """The same loop as a dense ClosedLoop, so error_h2 takes the dense path."""
+    return ClosedLoop(*md.dense(), md.n_agents, "error-form")
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +152,7 @@ class TestStackedCrossCheck:
             err = assemble_p1(model, real, lp)
         else:
             err = assemble_p2(model, real, lp)
-        assert err.modes is not None and red.modes is None
+        assert isinstance(err, ModeData) and isinstance(red, ClosedLoop)
         v_err = error_h2(err)
         # the modal kernel against a dense Lyapunov solve on A_cl
         assert v_err == pytest.approx(h2_norm(err.A_cl, err.B_cl, err.C_cl), rel=1e-8)
@@ -255,17 +256,16 @@ class TestDenseForm:
         # sum_a M[a] (x) E[a] and I (x) C_out
         lp = laplacian(oracle_graph(graph))
         for model, real, assemble in designs:
-            cl = assemble(model, real, lp)
-            md = cl.modes
+            md = assemble(model, real, lp)
             m, n, d = lp.L_reduced.shape[0], md.n, md.D.shape[0]
             S = np.zeros((d, d))
             S[md.block(md.coupled), md.block(md.coupled)] = np.eye(n)
             A = np.kron(np.eye(m), md.D) - md.rho * np.kron(md.L_reduced, S)
             B = sum(np.kron(Ma, Ea) for Ma, Ea in zip(md.M, md.E))
             C = np.kron(np.eye(m), np.eye(d)[md.block(md.output)])
-            np.testing.assert_array_equal(cl.A_cl, A)
-            np.testing.assert_array_equal(cl.B_cl, B)
-            np.testing.assert_array_equal(cl.C_cl, C)
+            np.testing.assert_array_equal(md.A_cl, A)
+            np.testing.assert_array_equal(md.B_cl, B)
+            np.testing.assert_array_equal(md.C_cl, C)
 
     def test_triple_is_derived_from_modes_and_not_kept(self, designs):
         # every read derives the triple afresh; the loop stores none of it
@@ -273,7 +273,7 @@ class TestDenseForm:
         for model, real, assemble in designs:
             cl = assemble(model, real, lp)
             for _ in range(2):
-                for got, want in zip((cl.A_cl, cl.B_cl, cl.C_cl), cl.modes.dense()):
+                for got, want in zip((cl.A_cl, cl.B_cl, cl.C_cl), cl.dense()):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert not {"A_cl", "B_cl", "C_cl"} & set(vars(cl))
 
@@ -288,13 +288,28 @@ class TestDenseForm:
         for kind, model in (("p1", triple_integrator_full_state()), ("p2", triple_integrator())):
             assert len(rho_scaling_probe(model, case2_graph(), kind, [1.0, 4.0])) == 2
 
-    def test_loop_needs_modes_or_triple(self, designs):
-        model, real, assemble = designs[0]
-        cl = assemble(model, real, laplacian(case1_graph()))
-        with pytest.raises(DimensionMismatch):
-            ClosedLoop(None, None, None, 3, "error-form")
-        with pytest.raises(DimensionMismatch):
-            ClosedLoop(cl.A_cl, None, cl.C_cl, 3, "error-form")
+
+class TestOneRepresentation:
+    """An error-form loop is its ModeData; a ClosedLoop is a dense loop
+    and nothing else, so no loop carries two copies that could disagree."""
+
+    def test_closed_loop_holds_only_the_dense_triple(self):
+        fields = [f.name for f in dataclasses.fields(ClosedLoop)]
+        assert fields == ["A_cl", "B_cl", "C_cl", "n_agents", "coordinates"]
+        assert "__getattr__" not in vars(ClosedLoop)
+
+    def test_assemblers_return_mode_data(self, designs):
+        lp = laplacian(case1_graph())
+        for model, real, assemble in designs:
+            md = assemble(model, real, lp)
+            assert type(md) is ModeData and md.n_agents == 3
+
+    def test_no_loop_with_two_disagreeing_copies(self, designs):
+        # a dense triple with B doubled next to the modes it came from
+        model, real, assemble = designs[1]
+        md = assemble(model, real, laplacian(case1_graph()))
+        with pytest.raises(TypeError):
+            ClosedLoop(md.A_cl, 2 * md.B_cl, md.C_cl, 3, "error-form", md)
 
 
 class TestErrorH2:
@@ -375,7 +390,7 @@ class TestErrorH2:
 
     def test_mode_data_must_be_block_triangular(self, designs):
         model, real, assemble = designs[1]
-        modes = assemble(model, real, laplacian(case1_graph())).modes
+        modes = assemble(model, real, laplacian(case1_graph()))
         D = modes.D.copy()
         D[-1, 0] = 1.0
         with pytest.raises(DimensionMismatch):
@@ -454,7 +469,7 @@ class TestModalKernel:
         h2, spectrum = modal.modal_h2(md)
         assert h2 == pytest.approx(h2_norm(A, B, C), rel=1e-8)
         assert spectrum.real.max() == pytest.approx(spectral_abscissa(A), rel=1e-3)
-        assert error_h2(ClosedLoop(None, None, None, g.n_agents, "error-form", md)) == h2
+        assert error_h2(md) == h2
 
     def test_chain_is_defective(self):
         # Lbar - I is nilpotent of index N - 1: one Jordan block, so Lbar

@@ -85,7 +85,7 @@ class TestSynthesizeP1:
             synthesize_p1(scalar_model_full(), 0.5)
 
     def test_requires_full_state(self):
-        with pytest.raises(PreconditionFailed):
+        with pytest.raises(DimensionMismatch, match="requires C = I"):
             synthesize_p1(triple_integrator(), 2.0)
 
     def test_full_state_is_c_identity(self):
