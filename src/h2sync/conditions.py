@@ -8,8 +8,16 @@ Partial-state coupling (Protocol 2) requires: (a) (A,B) stabilizable and
 (C,A) detectable, (b) closed-left-half-plane A, (c) (A,E,C,0) minimum
 phase and left invertible, (d) spanning tree, (e) im E within im B.
 A model is its four matrices; `full_report`'s protocol kind picks the set.
+
+Every condition but the spanning tree depends on the model alone, so
+`full_report` computes that half once per model and coupling and
+remembers it (a bounded memo keyed on the thresholds in force and the
+bytes of A, B, C, E, so an in-place edit of a model array or a new
+`tolerances.DEFAULT` is computed afresh); the graph half runs on every
+call.  Each report gets its own copies of the memo's arrays.
 """
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,6 +53,11 @@ __all__ = [
 # must be reproducible run to run
 _RANK_PROBE_SEED = 1729
 
+# distinct keys each per-model memo keeps (`_model_conditions` here,
+# `protocol._care_solution`); agent models are small, so an entry costs
+# a few of its n x n matrices
+_MEMO_SIZE = 16
+
 
 @dataclass
 class AgentModel:
@@ -56,8 +69,7 @@ class AgentModel:
     E: np.ndarray
 
     def __post_init__(self):
-        self.A, self.B, self.C = _as_system(self.A, self.B, self.C)
-        self.E = _as_system(self.A, self.E, names="AE")[1]
+        self.A, self.B, self.C, self.E = _matrices(self)
 
     @classmethod
     def full_state(cls, A, B, E):
@@ -79,6 +91,13 @@ class AgentModel:
     @property
     def w(self):
         return self.E.shape[1]
+
+
+def _matrices(model):
+    """(A, B, C, E) of `model` through the `linalg` input gate, as they
+    are now: the fields are plain attributes a caller may reassign."""
+    A, B, C = _as_system(model.A, model.B, model.C)
+    return A, B, C, _as_system(A, model.E, names="AE")[1]
 
 
 @dataclass
@@ -321,31 +340,49 @@ def _coupling(model, kind):
     return "full-state" if full else "partial-state"
 
 
+def _memo_key(*mats):
+    """Key of a per-model memo: the thresholds in force and the shape and
+    bytes of each (gated, so float) matrix."""
+    return (tolerances.DEFAULT,) + tuple((M.shape, M.tobytes()) for M in mats)
+
+
+def _from_key(key):
+    """The (read-only) matrices a `_memo_key` was made from."""
+    return [np.frombuffer(data).reshape(shape) for shape, data in key[1:]]
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _model_conditions(coupling, key):
+    """The model-only checks of `full_report` for the model in `key`:
+    (stabilizable, detectable, clhp, matched, X, minphase, zeros)."""
+    A, B, C, E = _from_key(key)
+    stab, detect, clhp = check_stabilizable(A, B), check_detectable(A, C), check_clhp(A)
+    matched, X = check_disturbance_match(B, E)
+    if coupling == "partial-state":
+        minphase, zeros = check_minphase_leftinv(A, E, C)
+    else:
+        minphase, zeros = True, []
+    return stab, detect, clhp, matched, X, minphase, tuple(zeros or ())
+
+
 def full_report(model: AgentModel, g: Optional[CommGraph] = None, kind: Optional[str] = None):
     """Aggregate the solvability checks of protocol `kind` into one report;
     the model-only conditions when no graph is given.  "p1" checks the
     full-state conditions, "p2" the partial-state ones, None those of p1
     exactly when C = I.  DimensionMismatch for p1 with C != I or another kind."""
     coupling = _coupling(model, kind)
-    stab = check_stabilizable(model.A, model.B)
-    detect = check_detectable(model.A, model.C)
-    clhp = check_clhp(model.A)
-    tree = None if g is None else has_spanning_tree(g)[0]
-    matched, X = check_disturbance_match(model.B, model.E)
-    if coupling == "partial-state":
-        minphase, zeros = check_minphase_leftinv(model.A, model.E, model.C)
-    else:
-        minphase, zeros = True, []
+    stab, detect, clhp, matched, X, minphase, zeros = _model_conditions(
+        coupling, _memo_key(*_matrices(model)))
     return SolvabilityReport(
         coupling_kind=coupling,
         stabilizable=stab,
         detectable=detect,
         clhp_eigs=clhp,
-        spanning_tree=tree,
+        spanning_tree=None if g is None else has_spanning_tree(g)[0],
         disturbance_matched=matched,
-        disturbance_gain=X,
+        disturbance_gain=X.copy(),
         minphase_leftinv=minphase,
-        invariant_zeros=zeros if zeros is not None else [],
+        invariant_zeros=list(zeros),
     )
 
 

@@ -8,7 +8,11 @@ conditions of protocol `kind` (`full_report(model, g, kind)`: p1 needs
 C = I) and solves the control CARE for P, which does not depend on rho;
 per rho, `ProtocolDesign.realize` solves the Protocol 2 filter Riccati
 equation and searches delta.  `synthesize_p1` and `synthesize_p2` run
-both steps for one rho.
+both steps for one rho.  Both per-model results are remembered: the
+report's model half by `full_report`, and P keyed like it on the
+thresholds in force and the bytes of (A, B), so designing the same
+model again (for another rho, kind or graph) solves no CARE.  A failed
+solve is not remembered, and each design gets its own copy of P.
 
 Protocol 1 (full-state coupling): controller state chi with
     dchi = A chi + B u + rho*zeta - rho*zetahat,   u = -rho B^T P chi
@@ -21,13 +25,22 @@ where Q > 0 solves the low-gain filter Riccati equation
     Q A^T + A Q + E E^T - delta^-2 Q C^T C Q + rho^2 Q^2 = 0.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import tolerances
-from .conditions import AgentModel, _full_state, full_report
+from .conditions import (
+    _MEMO_SIZE,
+    AgentModel,
+    _from_key,
+    _full_state,
+    _matrices,
+    _memo_key,
+    full_report,
+)
 from .errors import (
     DeltaSearchExhausted,
     DimensionMismatch,
@@ -142,16 +155,22 @@ class ProtocolDesign:
         )
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _care_solution(key):
+    """P of the control CARE for the (A, B) in `key` (see `design`)."""
+    return solve_care_standard(*_from_key(key)).solution
+
+
 def design(model: AgentModel, kind: str, g: Optional[CommGraph] = None) -> ProtocolDesign:
     """Per-model half of synthesis: check the conditions of protocol
     `kind` once (with the spanning-tree condition when a graph is given)
-    and solve the control CARE once.  p1 also needs full-state coupling,
-    which the report refuses with DimensionMismatch."""
+    and solve the control CARE once per (A, B).  p1 also needs
+    full-state coupling, which the report refuses with DimensionMismatch."""
     if kind not in ("p1", "p2"):  # the report also takes None
         raise DimensionMismatch(f"unknown protocol kind {kind!r}")
     full_report(model, g, kind).require()
-    care = solve_care_standard(model.A, model.B)
-    return ProtocolDesign(model=model, kind=kind, P=care.solution)
+    P = _care_solution(_memo_key(*_matrices(model)[:2])).copy()
+    return ProtocolDesign(model=model, kind=kind, P=P)
 
 
 def synthesize_p1(model: AgentModel, rho: float):

@@ -19,3 +19,12 @@ def random_spanning_tree_graph(rng, n_agents):
         if i != j:
             adj[i, j] = rng.uniform(0.1, 2.0)
     return CommGraph(adj), root
+
+
+def clear_synthesis_memos():
+    """Empty the per-model memos of `full_report` and `design`, so the
+    next call on any model computes its conditions and its CARE."""
+    from h2sync import conditions, protocol
+
+    conditions._model_conditions.cache_clear()
+    protocol._care_solution.cache_clear()

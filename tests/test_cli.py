@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import clear_synthesis_memos
+
 import h2sync.cli as cli
 import h2sync.protocol as protocol
 import h2sync.sim as sim
@@ -336,6 +338,8 @@ class TestOneDesignPerRhoList:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        # a CARE remembered from an earlier test would be solved 0 times
+        clear_synthesis_memos()
         calls = {"full_report": 0, "solve_care_standard": 0}
 
         def count(module, name):
