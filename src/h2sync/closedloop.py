@@ -53,6 +53,18 @@ __all__ = [
 ]
 
 
+def _real(x, name, ndim):
+    """x as a finite float array of `ndim` dimensions; DimensionMismatch
+    naming it otherwise."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf" or x.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be a real {ndim}-D array, "
+                                f"got dtype {x.dtype} and shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DimensionMismatch(f"{name} contains NaN or Inf entries")
+    return x.astype(float, copy=False)
+
+
 @dataclass
 class ModeData:
     """An error-form loop in agent-major order: the one definition of
@@ -68,7 +80,8 @@ class ModeData:
     block `output`.  M stacks the graph-side input factors (each
     (N-1) x N) and E the matching agent-side blocks (each d x w).
     A_cl, B_cl and C_cl read the dense triple afresh each time; the
-    loop never keeps it, so it stays the size of its blocks.
+    loop never keeps it, so it stays the size of its blocks.  The arrays
+    must be finite, real and of these shapes, checked when it is built.
     """
 
     D: np.ndarray
@@ -81,12 +94,27 @@ class ModeData:
     E: np.ndarray
 
     def __post_init__(self):
-        b, rem = divmod(self.D.shape[0], self.n)
-        if rem or self.D.shape != (b * self.n, b * self.n):
+        self.D, self.L_reduced = _real(self.D, "D", 2), _real(self.L_reduced, "L_reduced", 2)
+        self.M, self.E = _real(self.M, "M", 3), _real(self.E, "E", 3)
+        b = self.D.shape[0] // self.n if self.n >= 1 else 0
+        if b < 1 or self.D.shape != (b * self.n, b * self.n):
             raise DimensionMismatch(
                 f"mode block of shape {self.D.shape} is not made of "
                 f"{self.n} x {self.n} blocks"
             )
+        m = self.L_reduced.shape[0]
+        if m < 1 or self.L_reduced.shape != (m, m):
+            raise DimensionMismatch(f"L_reduced must be square with N - 1 >= 1 rows, "
+                                    f"got {self.L_reduced.shape}")
+        a = self.M.shape[0]
+        if self.M.shape != (a, m, m + 1) or self.E.shape[:2] != (a, b * self.n):
+            raise DimensionMismatch(
+                f"input factors M {self.M.shape} and E {self.E.shape} do not fit "
+                f"{m + 1} agents of {b * self.n} states"
+            )
+        if not (0 <= self.coupled < b and 0 <= self.output < b):
+            raise DimensionMismatch(f"blocks coupled={self.coupled}, output={self.output} "
+                                    f"not among the {b} blocks")
         if np.tril(self.D.reshape(b, self.n, b, self.n).any(axis=(1, 3)), -1).any():
             raise DimensionMismatch("mode block is not block upper triangular")
 

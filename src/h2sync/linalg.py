@@ -137,12 +137,17 @@ def _solve_care(A, mid, Q, residual_cap):
     on_axis = ham_eigs[_on_imag_axis(ham_eigs)]
     if on_axis.size:
         raise NoStabilizingSolution(
-            "Hamiltonian has eigenvalues on the imaginary axis: "
-            f"{np.sort_complex(on_axis)}",
+            f"Hamiltonian has {on_axis.size} eigenvalues on the imaginary axis",
             offending_eigenvalues=on_axis,
         )
 
-    _, Z, sdim = sla.schur(H, output="real", sort="lhp")
+    try:
+        _, Z, sdim = sla.schur(H, output="real", sort="lhp")
+    except np.linalg.LinAlgError as exc:  # eigenvalues reordered across the axis
+        raise NoStabilizingSolution(
+            f"ordered Schur form of the Hamiltonian failed: {exc}",
+            offending_eigenvalues=ham_eigs,
+        ) from None
     if sdim != n:
         raise NoStabilizingSolution(
             f"stable invariant subspace has dimension {sdim}, expected {n}"

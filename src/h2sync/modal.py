@@ -7,28 +7,30 @@ form of Lbar and of the diagonal blocks of D it is block upper
 triangular twice over: by graph mode and by agent sub-block.  The
 Hurwitz test reads the mode spectra off the diagonal, and the Lyapunov
 equation is solved by Bartels-Stewart over the Gramian's agent
-sub-blocks, each pair of sub-blocks one set of triangular solves for all
-mode pairs at once (`modal_h2`).  The number of LAPACK calls grows
-linearly in the number of agents.  The dense Lyapunov solve on
-`ModeData.dense` is the reference the tests compare it against.
+sub-blocks, each pair of sub-blocks entry by entry of its n x n tiles,
+each entry one m x m triangular equation for all mode pairs at once
+(`modal_h2`).  The number of LAPACK calls does not depend on the number
+of agents.  The dense Lyapunov solve on `ModeData.dense` is the
+reference the tests compare it against.
 """
 
 import numpy as np
 from scipy.linalg.lapack import zgees as _gees, ztrsyl as _trsyl, ztrtrs as _trtrs
 
-from .errors import DimensionMismatch
 from .linalg import require_hurwitz, require_lyapunov_residual
 
 
-def _adj(X):
-    """Hermitian transpose of a Gramian sub-block kept as an m x m array
-    of n x n tiles, shape (m, m, n, n)."""
-    return X.conj().transpose(1, 0, 3, 2)
+def _left(R, Y):
+    """(I (x) R) Y for a Gramian sub-block Y kept entry-major, as an
+    n x n array of m x m mode tiles, shape (n, n, m, m): entry (i, j)
+    becomes sum_k R_ik Y_kj."""
+    return (R @ Y.reshape(len(Y), -1)).reshape(len(R), *Y.shape[1:])
 
 
-def _tiles_times(X, M):
-    """Each n x n tile of X times M, i.e. X (I (x) M)."""
-    return (X.reshape(-1, M.shape[0]) @ M).reshape(X.shape)
+def _right(Y, R):
+    """Y (I (x) R^H) for a sub-block Y kept entry-major: entry (i, j)
+    becomes sum_k conj(R_jk) Y_ik."""
+    return (R.conj() @ Y.reshape(*Y.shape[:2], -1)).reshape(len(Y), len(R), *Y.shape[2:])
 
 
 def _schur(M):
@@ -43,9 +45,6 @@ def _schur(M):
 
 def _no_sort(_):
     return None
-
-
-_MODE_BLOCK = 32  # modes per block of the one-sided back-substitution
 
 
 def _sweep_plan(b, nonzero):
@@ -65,80 +64,58 @@ def _sweep_plan(b, nonzero):
     return pairs, [[pq for pq in pairs if last[pq] == i] for i in range(len(pairs))]
 
 
-def _solve_uncoupled(K, C, hermitian):
-    """Solve R_pp Y_kl + Y_kl R_qq^H = C_kl for every mode tile at once,
-    one triangular solve with K = R_pp (x) I + I (x) conj(R_qq); return
-    Y (Hermitian-averaged for a diagonal pair) and ||residual||_F^2."""
-    m, nn = C.shape[0], K.shape[0]
-    rows = C.reshape(m * m, nn)
-    Y = _trtrs(K, rows.T)[0].T.reshape(C.shape)
-    if hermitian:
-        Y += _adj(Y)
-        Y *= 0.5
-    res = Y.reshape(m * m, nn) @ K.T
-    res -= rows
-    return Y, np.vdot(res, res).real
+def _solve_pair(Rp, Rq, cp, cq, mT, C, hermitian):
+    """Solve A_p Y + Y A_q^H = C, A_p = I (x) Rp + cp mT (x) I, for one
+    sub-block pair kept entry-major (C is (n, n, m, m)); return Y and
+    ||residual||_F^2.
 
+    Rp, Rq and mT are upper triangular, so the tile entries (i, j) are
+    solved from the bottom right, each from its own m x m equation
 
-def _solve_one_coupled(K, T, rho, C):
-    """Solve (I (x) R_cc - rho T (x) I) Y + Y (I (x) R_qq^H) = C by
-    back-substitution over the modes k, each step one triangular solve
-    with K - rho t_kk I (K = R_cc (x) I + I (x) conj(R_qq)) for the m
-    tiles of row k; return Y and ||residual||_F^2.  C is overwritten.
+        (a I + cp mT) X + X (cq mT)^H = C_ij - sum_{k>i} Rp_ik Y_kj
+                                             - sum_{k>j} conj(Rq_jk) Y_ik,
 
-    The modes go in blocks of _MODE_BLOCK: within a block each row takes
-    the coupling of the rows below it in the block, and a finished block
-    updates all rows above it in one matrix product."""
-    m, nn = C.shape[0], K.shape[0]
-    rT, I = rho * T, np.eye(nn)
-    B = C.reshape(m, m, nn)
-    Y = np.empty_like(B)
-    Bf, Yf = B.reshape(m, -1), Y.reshape(m, -1)
-    for hi in range(m, 0, -_MODE_BLOCK):
-        lo = max(hi - _MODE_BLOCK, 0)
-        for k in range(hi - 1, lo - 1, -1):
-            Bf[k] += rT[k, k + 1:hi] @ Yf[k + 1:hi]
-            Y[k] = _trtrs(K - rT[k, k] * I, B[k].T)[0].T
-        Bf[:lo] += rT[:lo, lo:hi] @ Yf[lo:hi]
-    B -= Y @ K.T
-    B += rT.diagonal()[:, None, None] * Y
-    return Y.reshape(C.shape), np.vdot(B, B).real
-
-
-def _solve_both_coupled(Rc, T, rho, C):
-    """Solve A Y + Y A^H = C for A = I (x) Rc - rho T (x) I, one tile
-    entry (i, j), i <= j, at a time: a triangular Sylvester equation
-    ((Rc_ii + conj(Rc_jj)) I - rho T) X + X (-rho T)^H = C_ij less the
-    entries already solved; entries j < i follow by symmetry.  Return
-    Y and ||residual||_F^2."""
-    m, n = C.shape[0], Rc.shape[0]
-    mT = -rho * T
-    r = Rc.diagonal()
-    lhs = mT + (r[:, None] + r.conj())[:, :, None, None] * np.eye(m)
-    Rl, Ct = Rc.tolist(), C.transpose(2, 3, 0, 1)
-    Yt = np.empty_like(Ct)  # Yt[i, j] = Y[:, :, i, j]
+    a = Rp_ii + conj(Rq_jj): by `ztrsyl` when both sides are coupled, by
+    `ztrtrs` when one is, by a division when neither is.  A Hermitian
+    (diagonal) pair solves only i <= j; Y_ji = Y_ij^H."""
+    n = len(Rp)
+    Ia, mTc = np.eye(len(mT)), mT.conj()
+    Rl, Rql = Rp.tolist(), Rq.conj().tolist()
+    Y = np.empty_like(C)
     for i in range(n - 1, -1, -1):
-        for j in range(n - 1, i - 1, -1):
-            rhs = Ct[i, j]
+        for j in range(n - 1, i - 1 if hermitian else -1, -1):
+            rhs = C[i, j]
             for k in range(i + 1, n):
-                rhs = rhs - Rl[i][k] * Yt[k, j]
+                rhs = rhs - Rl[i][k] * Y[k, j]
             for k in range(j + 1, n):
-                rhs = rhs - Rl[j][k].conjugate() * Yt[i, k]
-            x, scale, _ = _trsyl(lhs[i, j], mT, rhs, tranb="C")
-            if scale != 1.0:
-                x /= scale
-            Yt[i, j] = x
-            if i != j:
-                Yt[j, i] = x.conj().T
-    Yt += _adj(Yt)  # the same index swap in this layout
-    Yt *= 0.5
-    Y = np.ascontiguousarray(Yt.transpose(2, 3, 0, 1))
-    # Y A^H = Y (I (x) Rc^H) + Y ((-rho T)^H (x) I), and A Y is its adjoint
-    Z = _tiles_times(Y, Rc.conj().T)
-    Z += (mT.conj() @ Y.reshape(m, m, n * n)).reshape(Y.shape)
-    Z += _adj(Z)
-    Z -= C
-    return Y, np.vdot(Z, Z).real
+                rhs = rhs - Rql[j][k] * Y[i, k]
+            a = Rl[i][i] + Rql[j][j]
+            if cp and cq:
+                x, scale, _ = _trsyl(a * Ia + mT, mT, rhs, tranb="C")
+                if scale != 1.0:
+                    x /= scale
+            elif cp:
+                x = _trtrs(a * Ia + mT, rhs)[0]
+            elif cq:  # X (a I + mT^H) = rhs, transposed
+                x = _trtrs(a * Ia + mTc, rhs.T)[0].T
+            else:
+                x = rhs / a
+            if hermitian and i == j:
+                x = 0.5 * (x + x.conj().T)
+            Y[i, j] = x
+            if hermitian:
+                Y[j, i] = x.conj().T
+    res = _left(Rp, Y)
+    if cp:
+        res += mT @ Y
+    if hermitian:  # Y A_q^H = (A_p Y)^H
+        res += res.conj().transpose(1, 0, 3, 2)
+    else:
+        res += _right(Y, Rq)
+        if cq:
+            res += Y @ mTc.T
+    res -= C
+    return Y, np.vdot(res, res).real
 
 
 def modal_h2(md):
@@ -165,19 +142,14 @@ def modal_h2(md):
     which involves only pairs further down or right, so the pairs are
     solved from the bottom right (`_sweep_plan`); Y is Hermitian, so
     only p <= q is solved (Y_qp = Y_pq^H), and a sub-block is kept only
-    until the last pair it feeds.  Each pair is one solve for all m^2
-    mode tiles at once:
-
-    * neither block coupled: one triangular solve with
-      K = R_pp (x) I + I (x) conj(R_qq) (n^2 x n^2) and m^2 right-hand
-      sides;
-    * one side coupled (solved as (c, q), the other orientation by
-      symmetry): back-substitution over the modes, each step one
-      triangular solve with K - rho t_kk I and m right-hand sides;
-    * (c, c): per entry pair i <= j of the n x n tiles, one triangular
-      Sylvester equation of size m, with (R_ii + conj(R_jj)) I - rho T
-      on the left and -rho T on the right; tile entries j < i follow by
-      symmetry.
+    until the last pair it feeds.  Each sub-block is kept entry-major,
+    as an n x n array of m x m tiles (one per state pair, over all mode
+    pairs), and each pair is solved by one rule (`_solve_pair`):
+    entry by entry from the bottom right, each entry one triangular
+    equation of size m with (R_pp,ii + conj(R_qq,jj)) I on the left,
+    plus -rho T on each coupled side.  The pair's structure picks the
+    leaf: a Sylvester solve when both sides are coupled, a triangular
+    solve when one is, a division when neither is.
 
     Neither U nor Q mixes the output block with others, so the norm is
     the sum of the traces of the output tiles of Y_kk.
@@ -191,8 +163,6 @@ def modal_h2(md):
     max_k ||R_k||_2 and max_k ||Y_kk||_2, lower bounds of ||A||_2 and
     ||X||_2, which is stricter than the dense path's test.
     """
-    if not np.isfinite(md.D).all():
-        raise DimensionMismatch("mode block contains NaN or Inf entries")
     T, U = _schur(md.L_reduced)
     m, d, n, rho = T.shape[0], md.D.shape[0], md.n, md.rho
     b, c = d // n, md.coupled
@@ -209,50 +179,36 @@ def modal_h2(md):
     require_hurwitz(spectrum)
 
     # W_pq[k, l] = sum_ab (G_a G_b^H)_kl (Q^H E_a)_p (Q^H E_b)_q^H with
-    # G_a = U^H M_a: m^2 x a^2 weights (Gam) of n x n outer products (negW,
-    # negated because the solves take -W)
+    # G_a = U^H M_a, entry-major as negW[p, q] @ Gam: the n x n outer
+    # products (n^2 x a^2, negated because the solves take -W) times the
+    # mode weights (a^2 x m^2)
     G = U.conj().T @ md.M
     a = G.shape[0]
     Gf = G.transpose(1, 0, 2).reshape(m * a, -1)
-    Gam = (Gf @ Gf.conj().T).reshape(m, a, m, a).transpose(0, 2, 1, 3).reshape(m * m, a * a)
+    Gam = (Gf @ Gf.conj().T).reshape(m, a, m, a).transpose(1, 3, 0, 2).reshape(a * a, m * m)
     QE = (Qh @ md.E).reshape(a * d, -1)
-    negW = -(QE @ QE.conj().T).reshape(a, b, n, a, b, n).transpose(1, 4, 0, 3, 2, 5)
-    negW = negW.reshape(b, b, a * a, n * n)
+    negW = -(QE @ QE.conj().T).reshape(a, b, n, a, b, n).transpose(1, 4, 2, 5, 0, 3)
+    negW = negW.reshape(b, b, n * n, a * a)
     Rt = R.reshape(b, n, b, n).transpose(0, 2, 1, 3)  # Rt[p, q] = R_pq
-    RtH = Rt.conj().transpose(0, 1, 3, 2)  # RtH[p, q] = R_pq^H
     nonzero = Rt.any(axis=(2, 3)).tolist()
-    # K[p, q] = R_pp (x) I + I (x) conj(R_qq): Y -> R_pp Y + Y R_qq^H on
-    # row-major vectorized n x n tiles, upper triangular
-    In = np.eye(n)
-    Rd = Rt[np.arange(b), np.arange(b)]
-    K = (Rd[:, None, :, None, :, None] * In[:, None, :]
-         + In[:, None, :, None] * Rd.conj()[:, None, :, None, :]).reshape(b, b, n * n, n * n)
+    mT = -rho * T
 
     pairs, drop = _sweep_plan(b, nonzero)
-    Y = {}  # Y[p, q], p <= q: sub-block (p, q) as (m, m, n, n)
+    Y = {}  # Y[p, q], p <= q: sub-block (p, q), entry-major (n, n, m, m)
     Yd = np.empty((b, b, m, n, n), dtype=complex)  # diagonal tiles Y_pq[k, k]
     res_sq = 0.0
     for i, (p, q) in enumerate(pairs):
-        # C_pq; the (I (x) R_pr) Y_rq terms as (Y_qr (I (x) R_pr^H))^H
-        C = (Gam @ negW[p, q]).reshape(m, m, n, n)
+        C = (negW[p, q] @ Gam).reshape(n, n, m, m)
+        for r in range(p + 1, b):
+            if nonzero[p][r]:  # (I (x) R_pr) Y_rq, for r > q as (Y_qr (I (x) R_pr^H))^H
+                C -= (_left(Rt[p, r], Y[r, q]) if r <= q
+                      else _right(Y[q, r], Rt[p, r]).conj().transpose(1, 0, 3, 2))
         for r in range(q + 1, b):
             if nonzero[q][r]:
-                C -= _tiles_times(Y[p, r], RtH[q, r])
-        for r in range(p + 1, b):
-            if nonzero[p][r]:
-                Yqr = Y[q, r] if q <= r else _adj(Y[r, q])
-                C -= _adj(_tiles_times(Yqr, RtH[p, r]))
-        if p == q == c:
-            Y[p, q], r2 = _solve_both_coupled(Rt[c, c], T, rho, C)
-        elif p == c:
-            Y[p, q], r2 = _solve_one_coupled(K[c, q], T, rho, C)
-        elif q == c:  # solved as its conjugate transpose, pair (c, p)
-            Ycp, r2 = _solve_one_coupled(K[c, p], T, rho, np.ascontiguousarray(_adj(C)))
-            Y[p, q] = np.ascontiguousarray(_adj(Ycp))
-        else:
-            Y[p, q], r2 = _solve_uncoupled(K[p, q], C, p == q)
+                C -= _right(Y[p, r], Rt[q, r])
+        Y[p, q], r2 = _solve_pair(Rt[p, p], Rt[q, q], p == c, q == c, mT, C, p == q)
         res_sq += (1.0 if p == q else 2.0) * r2
-        Yd[p, q] = Y[p, q].reshape(m * m, n, n)[::m + 1]
+        Yd[p, q] = Y[p, q].reshape(n, n, m * m)[:, :, ::m + 1].transpose(2, 0, 1)
         for pq in drop[i]:
             del Y[pq]
     lower = np.tril(np.ones((b, b), dtype=bool), -1)

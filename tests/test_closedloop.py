@@ -477,10 +477,10 @@ class TestModalKernel:
         N = laplacian(chain_graph(5)).L_reduced - np.eye(4)
         assert np.linalg.matrix_power(N, 3).any() and not np.linalg.matrix_power(N, 4).any()
 
-    def test_lapack_solves_grow_linearly_in_n(self, designs, monkeypatch):
-        # one triangular solve per mode for each one-sided coupled pair,
-        # a fixed number for the rest; a sweep over mode pairs would make
-        # m (m + 1) / 2 Sylvester solves, 45 and 780 here
+    @staticmethod
+    def lapack_solves(designs, monkeypatch):
+        """{N: [LAPACK solves of one error_h2 call for p1, for p2]} on
+        random digraphs with N = 10 and 40."""
         calls = []
 
         def counting(solver):
@@ -500,8 +500,20 @@ class TestModalKernel:
                 calls.clear()
                 error_h2(assemble(model, real, lp))
                 counts[n_agents].append(len(calls))
+        return counts
+
+    def test_lapack_solves_grow_linearly_in_n(self, designs, monkeypatch):
+        # one solve per tile entry of each coupled pair, whatever the
+        # number of modes; a sweep over mode pairs would make m (m + 1) / 2
+        # Sylvester solves, 45 and 780 here
+        counts = self.lapack_solves(designs, monkeypatch)
         for small, large in zip(counts[10], counts[40]):
             assert 0 < large <= 4 * small
+
+    def test_lapack_solves_do_not_grow_with_n(self, designs, monkeypatch):
+        # each pair solves its n x n tile entries, each for all modes at once
+        counts = self.lapack_solves(designs, monkeypatch)
+        assert counts[10] == counts[40]
 
 
 class TestScalingProbe:

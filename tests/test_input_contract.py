@@ -4,7 +4,8 @@ Every public function that takes state-space matrices refuses a NaN
 entry, complex entries, a matrix of the wrong shape and an empty state
 (n = 0) with an H2SyncError subclass and no warning.  A realization is refused by every
 function that uses it with a model it does not fit.  Seeds, signals,
-graph headers and tolerances get typed errors as well, and the CLI
+graph headers, tolerances and the arrays of an error-form loop's
+`ModeData` get typed errors as well, and the CLI
 exits 2 with one stderr line on the model and graph files below.
 """
 
@@ -23,7 +24,7 @@ from h2sync.cases import (
     triple_integrator_full_state,
 )
 from h2sync.cli import main
-from h2sync.closedloop import assemble_p1, assemble_p2, assemble_stacked
+from h2sync.closedloop import assemble_p1, assemble_p2, assemble_stacked, error_h2
 from h2sync.conditions import (
     AgentModel,
     check_clhp,
@@ -196,6 +197,45 @@ class TestProtocolKind:
     ], ids=["full-none", "full-p1", "full-p2", "partial-none", "partial-p2"])
     def test_accepted(self, model, kind, coupling):
         assert _quietly(full_report, model, case1_graph(), kind).coupling_kind == coupling
+
+
+# the case-1 p2 loop at rho = 4
+MODES = assemble_p2(triple_integrator(), synthesize_p2(triple_integrator(), 4.0,
+                                                       delta_hint=CASE_DELTA),
+                    laplacian(case1_graph()))
+
+
+def _mode_rows(md):
+    """(id, field, bad value): `md` with a non-finite, complex or
+    misshapen array or an index out of range."""
+    for field in ("D", "L_reduced", "M", "E"):
+        for label, bad in (("nan", np.nan), ("inf", np.inf)):
+            v = getattr(md, field).copy()
+            v.flat[-1] = bad
+            yield f"{field}-{label}", field, v
+        yield f"{field}-complex", field, (1 + 1j) * getattr(md, field)
+    yield "D-not-blocks", "D", md.D[:-1, :-1]
+    yield "L_reduced-not-square", "L_reduced", md.L_reduced[:, :1]
+    yield "L_reduced-empty", "L_reduced", np.zeros((0, 0))
+    yield "M-agents", "M", md.M[:, :, :-1]
+    yield "E-rows", "E", md.E[:, :-1]
+    yield "E-2d", "E", md.E[0]
+    yield "coupled-out-of-range", "coupled", 3
+    yield "n-zero", "n", 0
+
+
+MODE_ROWS = list(_mode_rows(MODES))
+
+
+class TestModeData:
+    """A `ModeData` with non-finite, complex or misshapen arrays is
+    refused when it is built, so `error_h2` never sees it."""
+
+    @pytest.mark.parametrize("field, bad", [r[1:] for r in MODE_ROWS],
+                             ids=[r[0] for r in MODE_ROWS])
+    def test_refused(self, field, bad):
+        with pytest.raises(DimensionMismatch):
+            _quietly(lambda: error_h2(dataclasses.replace(MODES, **{field: bad})))
 
 
 class TestSeedsAndSignals:

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.integrate import quad
 
-from conftest import random_spanning_tree_graph
+from conftest import defect_a_model, random_spanning_tree_graph
 
 import h2sync.linalg as linalg
 from h2sync import tolerances
@@ -161,6 +161,22 @@ class TestFilterRiccati:
         # rho = 1, delta = 1: 1 - Q^2 + Q^2 = 1 = 0 has no solution
         with pytest.raises(NoStabilizingSolution):
             solve_filter_riccati([[0.0]], [[1.0]], [[1.0]], 1.0, 1.0)
+
+    def test_axis_message_counts_and_payload_keeps_eigenvalues(self):
+        # the message is built on every refused delta of a search, so it
+        # names a count; the eigenvalues ride on the exception
+        with pytest.raises(NoStabilizingSolution,
+                           match=r"Hamiltonian has 2 eigenvalues on the imaginary axis$") as exc:
+            solve_filter_riccati([[0.0]], [[1.0]], [[1.0]], 1.0, 1.0)
+        np.testing.assert_allclose(exc.value.offending_eigenvalues, [0.0, 0.0], atol=1e-12)
+
+    def test_failed_ordered_schur_is_typed(self):
+        # four rounded-zero Hamiltonian eigenvalues pass the relative axis
+        # test, so the sort miscounts; the failure carries every eigenvalue
+        m = defect_a_model()
+        with pytest.raises(NoStabilizingSolution, match="ordered Schur form") as exc:
+            solve_filter_riccati(m.A, m.E, m.C, 1.0, 1.0)
+        assert exc.value.offending_eigenvalues.shape == (6,)
 
     def test_scalar_closed_form(self):
         # A=0, E=C=1: Q^2 (delta^-2 - rho^2) = 1

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import defect_a_model
+
 from h2sync.cases import case1_graph, case2_graph, triple_integrator, triple_integrator_full_state
-from h2sync.conditions import AgentModel
+from h2sync.conditions import AgentModel, full_report
 from h2sync.errors import (
     DeltaSearchExhausted,
     DimensionMismatch,
@@ -165,6 +167,17 @@ class TestSynthesizeP2:
     def test_rho_out_of_range(self):
         with pytest.raises(RhoOutOfRange):
             synthesize_p2(triple_integrator(), 0.99)
+
+    @pytest.mark.parametrize("rho", [1.0, 4.0])
+    def test_failed_ordered_schur_ends_the_try_not_the_search(self, rho):
+        # a failed ordered Schur form is one refused delta among the 40;
+        # that no delta passes is the open w = 0 gap between report and synthesis
+        m = defect_a_model()
+        assert full_report(m, kind="p2").overall
+        with pytest.raises(DeltaSearchExhausted) as exc:
+            synthesize_p2(m, rho)
+        assert len(exc.value.diagnostics) == 40
+        assert any("ordered Schur form" in why for _, why in exc.value.diagnostics)
 
 
 class TestControllerMatrices:
