@@ -28,6 +28,7 @@ Hurwitz-margin and Lyapunov-residual decisions from `linalg`
 """
 
 import io
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,12 +247,22 @@ def reduce_to_differences(cl: ClosedLoop, model: AgentModel,
     With S = [[Pi], [e_N^T]] applied blockwise, the difference states
     (x_i - x_N, x_ci - x_cN) close on themselves; the retained
     subsystem realizes the same disturbance-to-xbar map and is Hurwitz
-    when the design conditions hold.
+    when the design conditions hold.  DimensionMismatch unless `cl` is a
+    stacked-form loop of an integer n_agents >= 2 whose A_cl, B_cl and
+    C_cl have the shapes `assemble_stacked` gives (model, real).
     """
     if not isinstance(cl, ClosedLoop) or cl.coordinates != "stacked-form":
         raise DimensionMismatch("reduce_to_differences expects a stacked-form loop")
     N = cl.n_agents
+    if not isinstance(N, numbers.Integral) or N < 2:
+        raise DimensionMismatch(f"n_agents must be an integer >= 2, got {N!r}")
+    real.require_fits(model)
     n, nc = model.n, real.controller_state_dim
+    d = N * (n + nc)
+    for name, shape in (("A_cl", (d, d)), ("B_cl", (d, N * model.w)), ("C_cl", ((N - 1) * n, d))):
+        got = np.shape(getattr(cl, name))
+        if got != shape:
+            raise DimensionMismatch(f"{name} must have shape {shape} for {N} agents, got {got}")
     S = np.vstack([np.hstack([np.eye(N - 1), -np.ones((N - 1, 1))]),
                    np.eye(N)[N - 1 :]])
     T = sla.block_diag(np.kron(S, np.eye(n)), np.kron(S, np.eye(nc)))

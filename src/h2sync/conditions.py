@@ -115,45 +115,26 @@ class SolvabilityReport:
     invariant_zeros: list
     overall: bool = field(init=False)
 
-    # condition letters per coupling kind, in reporting order
-    _FULL = (
-        ("(a)", "stabilizable"),
-        ("(b)", "clhp_eigs"),
-        ("(c)", "spanning_tree"),
-        ("(d)", "disturbance_matched"),
-    )
-    _PARTIAL = (
-        ("(a)", "stabilizable_and_detectable"),
-        ("(b)", "clhp_eigs"),
-        ("(c)", "minphase_leftinv"),
-        ("(d)", "spanning_tree"),
-        ("(e)", "disturbance_matched"),
-    )
-
     def __post_init__(self):
         self.overall = not self.failed_conditions()
 
-    def _applicable(self):
-        return self._FULL if self.coupling_kind == "full-state" else self._PARTIAL
-
     def condition_values(self):
-        """(letter, name, passed) for each applicable condition."""
-        out = []
-        for letter, name in self._applicable():
-            if name == "stabilizable_and_detectable":
-                ok = self.stabilizable and self.detectable
-            else:
-                ok = getattr(self, name)
-            if ok is not None:
-                out.append((letter, name, bool(ok)))
-        return out
+        """(letter, name, passed) for each condition of the coupling,
+        lettered (a), (b), ... in reporting order; the spanning tree
+        is left out, keeping its letter, when it is None."""
+        if self.coupling_kind == "full-state":
+            named = [("stabilizable", self.stabilizable), ("clhp_eigs", self.clhp_eigs)]
+        else:
+            named = [("stabilizable_and_detectable", self.stabilizable and self.detectable),
+                     ("clhp_eigs", self.clhp_eigs),
+                     ("minphase_leftinv", self.minphase_leftinv)]
+        named += [("spanning_tree", self.spanning_tree),
+                  ("disturbance_matched", self.disturbance_matched)]
+        return [(f"({letter})", name, bool(ok))
+                for letter, (name, ok) in zip("abcde", named) if ok is not None]
 
     def failed_conditions(self):
-        return [
-            (letter, name)
-            for letter, name, ok in self.condition_values()
-            if not ok
-        ]
+        return [(letter, name) for letter, name, ok in self.condition_values() if not ok]
 
     def require(self):
         """Raise PreconditionFailed naming every failed condition, with

@@ -57,7 +57,8 @@ class RhoOutOfRange(H2SyncError):
 class DeltaSearchExhausted(H2SyncError):
     """The low-gain parameter search ran out of candidates.
 
-    `diagnostics` is a list of (delta, reason) pairs, one per attempt.
+    `diagnostics` is a list of (delta, reason) pairs, one per attempt;
+    each reason is the message of the check that refused that delta.
     """
 
     def __init__(self, msg, diagnostics=None):

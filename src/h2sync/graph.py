@@ -166,13 +166,18 @@ def parse_graph(text: str) -> CommGraph:
         raise ParseError(f"need at least 2 agents, got {N}")
     rows = [ln.split() for _, ln in body]
     if len(body) == N and all(len(r) == N for r in rows):
-        # dense form; an N=3 edge list also matches this shape, so fall
-        # back to edge parsing when the dense read is not a valid graph
+        # dense form; an N=3 edge list also matches this shape, so a
+        # failed dense read falls back to edge parsing unless the
+        # diagonal is zero (an edge list's first index is >= 1)
         try:
             A = np.array([[float(v) for v in r] for r in rows])
             return CommGraph(A)
         except (ValueError, DimensionMismatch) as exc:
-            if N != 3:
+            try:
+                edges = N == 3 and any(float(r[k]) for k, r in enumerate(rows))
+            except ValueError:
+                edges = True
+            if not edges:
                 raise ParseError(f"bad dense adjacency: {exc}")
     try:
         A = np.zeros((N, N))

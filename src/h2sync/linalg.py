@@ -10,6 +10,7 @@ frequencies where the gain crosses a level, and the gains between them
 raise the level until no gain above it is left.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -107,10 +108,17 @@ def require_hurwitz(spectrum):
 
 
 def require_rho(rho):
-    """Raise RhoOutOfRange unless the coupling gain satisfies
-    1 <= rho < inf; NaN fails."""
-    if not (1.0 <= rho < np.inf):
-        raise RhoOutOfRange(f"rho must be finite and >= 1, got {rho}")
+    """Raise RhoOutOfRange unless the coupling gain is a real number
+    with 1 <= rho < inf; NaN fails."""
+    if not (isinstance(rho, numbers.Real) and 1.0 <= rho < np.inf):
+        raise RhoOutOfRange(f"rho must be finite and >= 1, got {rho!r}")
+
+
+def require_delta(delta):
+    """Raise DimensionMismatch unless the low-gain parameter is a real
+    number with 0 < delta < inf; NaN fails."""
+    if not (isinstance(delta, numbers.Real) and 0.0 < delta < np.inf):
+        raise DimensionMismatch(f"delta must be finite and positive, got {delta!r}")
 
 
 def require_lyapunov_residual(res, a_norm, x_norm, spectrum):
@@ -218,40 +226,29 @@ def solve_filter_riccati(A, E, C, rho, delta):
     The quadratic term is Q (delta^-2 C^T C - rho^2 I) Q, so the
     equation is the standard form with indefinite middle matrix
     Rt = delta^-2 C^T C - rho^2 I applied to the transposed data.
-    Returns Q > 0 with A - delta^-2 Q C^T C Hurwitz; raises
-    NoStabilizingSolution when delta is too large for this rho (shrink
-    delta and retry) and NotPositiveDefinite when the stabilizing
-    solution exists but is only semidefinite.
+    Returns Q > 0 with A - delta^-2 Q C^T C Hurwitz.  A delta too large
+    for rho fails one of three checks, which raises with its own message
+    (naming neither value): `_solve_care` and the Hurwitz test of the
+    filter matrix raise NoStabilizingSolution, Q > 0 NotPositiveDefinite.
+    rho must pass `require_rho` and delta `require_delta`.
     """
     A, E, C = _as_system(A, E, C, names="AEC")
     n = A.shape[0]
     require_rho(rho)
-    if not (0.0 < delta < np.inf):
-        raise DimensionMismatch(f"delta must be finite and positive, got {delta}")
+    require_delta(delta)
 
     mid = C.T @ C / delta**2 - rho**2 * np.eye(n)
     cap = tolerances.DEFAULT.filter_residual * (1.0 + np.linalg.norm(A, 2)) ** 2
-    try:
-        Q, res_norm = _solve_care(A.T, mid, E @ E.T, cap)
-    except NoStabilizingSolution as exc:
-        raise NoStabilizingSolution(
-            f"no stabilizing solution at delta={delta} "
-            f"(delta too large for rho={rho}; shrink delta): {exc}",
-            offending_eigenvalues=exc.offending_eigenvalues,
-        ) from exc
+    Q, res_norm = _solve_care(A.T, mid, E @ E.T, cap)
 
     q_scale = max(1.0, np.linalg.norm(Q, 2))
     if np.linalg.eigvalsh(Q).min() <= tolerances.DEFAULT.symmetry * q_scale:
-        raise NotPositiveDefinite(
-            f"filter Riccati solution is not positive definite at "
-            f"delta={delta}, rho={rho}"
-        )
+        raise NotPositiveDefinite("filter Riccati solution is not positive definite")
     filt = A - (Q @ C.T @ C) / delta**2
     spectrum = np.linalg.eigvals(filt)
     if spectrum.real.max() >= 0.0:
         raise NoStabilizingSolution(
-            f"filter matrix A - delta^-2 Q C^T C is not Hurwitz at "
-            f"delta={delta}, rho={rho}",
+            "filter matrix A - delta^-2 Q C^T C is not Hurwitz",
             offending_eigenvalues=spectrum[spectrum.real >= 0.0],
         )
     return StableSubspaceResult(Q, res_norm, spectrum)

@@ -50,7 +50,8 @@ from .errors import (
     RhoOutOfRange,
 )
 from .graph import CommGraph
-from .linalg import _as_matrix, _as_system, require_rho, solve_care_standard, solve_filter_riccati
+from .linalg import (_as_matrix, _as_system, require_delta, require_rho, solve_care_standard,
+                     solve_filter_riccati)
 
 __all__ = [
     "ProtocolDesign",
@@ -91,10 +92,9 @@ class ProtocolRealization:
         p2 = self.kind == "p2"
         if p2 != (self.delta is not None) or p2 != (self.Q_rho is not None):
             raise DimensionMismatch("delta and Q_rho are set for p2 and only for p2")
-        if p2 and not (0.0 < self.delta < np.inf):
-            raise DimensionMismatch(f"delta must be finite and > 0, got {self.delta}")
         self.P = _as_system(self.P, names="P")[0]
         if p2:
+            require_delta(self.delta)
             self.Q_rho = _as_matrix(self.Q_rho, "Q_rho", self.n, self.n)
         blocks = [("P", self.P), ("Q_rho", self.Q_rho)] if p2 else [("P", self.P)]
         for label, M in blocks:
@@ -141,10 +141,8 @@ class ProtocolDesign:
         for d in _HALVING if delta is None else (delta,):
             try:
                 Q = solve_filter_riccati(m.A, m.E, m.C, rho, d).solution
-            except NoStabilizingSolution as exc:
-                diagnostics.append((d, f"no stabilizing solution ({exc})"))
-            except NotPositiveDefinite as exc:
-                diagnostics.append((d, f"not positive definite ({exc})"))
+            except (NoStabilizingSolution, NotPositiveDefinite) as exc:
+                diagnostics.append((d, str(exc)))
             else:
                 return ProtocolRealization("p2", float(rho), self.P, float(d), Q)
         raise DeltaSearchExhausted(

@@ -91,6 +91,22 @@ class TestSynth:
         assert main(["synth", "--model", model, "--protocol", "p2",
                      "--rho", "4", "--delta", "0.5", "--out", str(tmp)]) == 3
 
+    def test_refused_delta_is_described_once(self, ref_files, capsys):
+        model, _, tmp = ref_files
+        code = main(["synth", "--model", model, "--protocol", "p2",
+                     "--rho", "4", "--delta", "5", "--out", str(tmp)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: filter Riccati failed at the given delta=5.0: "
+            "Hamiltonian has 2 eigenvalues on the imaginary axis\n")
+
+    def test_refused_small_delta_named_once(self, ref_files, capsys):
+        model, _, tmp = ref_files
+        code = main(["synth", "--model", model, "--protocol", "p2",
+                     "--rho", "4", "--delta", "0.01", "--out", str(tmp)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3 and len(err) == 1 and err[0].count("delta=") == 1
+
     def test_rho_below_one_rejected_by_parser(self, ref_files):
         model, _, tmp = ref_files
         with pytest.raises(SystemExit) as exc:

@@ -210,6 +210,17 @@ class TestGraphFormat:
         g = parse_graph("3\n1 2 1\n2 3 1\n3 1 1\n")
         assert g.adjacency[0, 1] == 1.0 and g.adjacency[2, 0] == 1.0
 
+    def test_three_agent_dense_file_reports_its_own_error(self):
+        # a zero diagonal marks the file dense: an edge list starts with
+        # an index >= 1, so N = 3 fails as N = 4 does, not as edge lines
+        errors = []
+        for text in ("3\n0 1 -1\n0 0 0\n1 0 0\n",
+                     "4\n0 1 -1 0\n0 0 0 0\n1 0 0 0\n0 0 0 0\n"):
+            with pytest.raises(ParseError) as exc:
+                parse_graph(text)
+            errors.append(str(exc.value))
+        assert errors == ["bad dense adjacency: adjacency weights must be nonnegative"] * 2
+
     def test_round_trip(self):
         rng = np.random.default_rng(41)
         g, _ = random_spanning_tree_graph(rng, 7)

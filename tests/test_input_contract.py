@@ -4,9 +4,11 @@ Every public function that takes state-space matrices refuses a NaN
 entry, complex entries, a matrix of the wrong shape and an empty state
 (n = 0) with an H2SyncError subclass and no warning.  A realization is refused by every
 function that uses it with a model it does not fit.  Seeds, signals,
-graph headers, tolerances and the arrays of an error-form loop's
-`ModeData` get typed errors as well, and the CLI
-exits 2 with one stderr line on the model and graph files below.
+graph headers, tolerances, rho and delta values that are not real
+numbers, the arrays of an error-form loop's `ModeData` and a stacked
+loop that does not fit `reduce_to_differences` get typed errors as
+well, and the CLI exits 2 with one stderr line on the model and graph
+files below.
 """
 
 import dataclasses
@@ -24,7 +26,14 @@ from h2sync.cases import (
     triple_integrator_full_state,
 )
 from h2sync.cli import main
-from h2sync.closedloop import assemble_p1, assemble_p2, assemble_stacked, error_h2
+from h2sync.closedloop import (
+    assemble_p1,
+    assemble_p2,
+    assemble_stacked,
+    error_h2,
+    reduce_to_differences,
+    rho_scaling_probe,
+)
 from h2sync.conditions import (
     AgentModel,
     check_clhp,
@@ -35,7 +44,13 @@ from h2sync.conditions import (
     full_report,
     invariant_zeros,
 )
-from h2sync.errors import ConfigInvalid, DimensionMismatch, H2SyncError, ParseError
+from h2sync.errors import (
+    ConfigInvalid,
+    DimensionMismatch,
+    H2SyncError,
+    ParseError,
+    RhoOutOfRange,
+)
 from h2sync.graph import CommGraph, laplacian, parse_graph, reduced_spectrum_check
 from h2sync.linalg import (
     h2_norm,
@@ -46,7 +61,12 @@ from h2sync.linalg import (
     solve_lyapunov,
     spectral_abscissa,
 )
-from h2sync.protocol import controller_matrices, synthesize_p1, synthesize_p2
+from h2sync.protocol import (
+    ProtocolRealization,
+    controller_matrices,
+    synthesize_p1,
+    synthesize_p2,
+)
 from h2sync.sim import (
     SimConfig,
     monte_carlo_rms,
@@ -197,6 +217,58 @@ class TestProtocolKind:
     ], ids=["full-none", "full-p1", "full-p2", "partial-none", "partial-p2"])
     def test_accepted(self, model, kind, coupling):
         assert _quietly(full_report, model, case1_graph(), kind).coupling_kind == coupling
+
+
+class TestRhoAndDelta:
+    """rho and delta each have one rule, `require_rho` and
+    `require_delta`, which refuse a value that is not a real number."""
+
+    PARTIAL = triple_integrator()
+    ROWS = {
+        "synthesize_p1-text": (lambda m: synthesize_p1(triple_integrator_full_state(), "2"),
+                               RhoOutOfRange),
+        "synthesize_p2-none": (lambda m: synthesize_p2(m, None), RhoOutOfRange),
+        "filter-rho-complex": (lambda m: solve_filter_riccati(m.A, m.E, m.C, 4j, 0.1),
+                               RhoOutOfRange),
+        "filter-delta-text": (lambda m: solve_filter_riccati(m.A, m.E, m.C, 4.0, "0.1"),
+                              DimensionMismatch),
+        "realization-delta-text": (lambda m: ProtocolRealization("p2", 2.0, np.eye(2), "0.1",
+                                                                 np.eye(2)),
+                                   DimensionMismatch),
+        "probe-rho-text": (lambda m: rho_scaling_probe(m, case1_graph(), "p2", ["4"]),
+                           RhoOutOfRange),
+    }
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_refused(self, row):
+        call, error = self.ROWS[row]
+        with pytest.raises(error):
+            _quietly(call, self.PARTIAL)
+
+
+class TestReduceToDifferences:
+    """`reduce_to_differences` refuses a stacked-form loop that does not
+    fit its model and realization, or whose agent count is not an
+    integer >= 2, before it builds the transform."""
+
+    FULL = triple_integrator_full_state()
+    P1 = synthesize_p1(FULL, 2.0)
+    LOOP = assemble_stacked(FULL, P1, case1_graph())  # N = 3, n = n_c = 3, w = 1
+    ROWS = {
+        "n_agents-not-integer": (dataclasses.replace(LOOP, n_agents=3.5), FULL, P1),
+        "n_agents-other": (dataclasses.replace(LOOP, n_agents=2), FULL, P1),
+        "n_agents-one": (dataclasses.replace(LOOP, n_agents=1), FULL, P1),
+        "A_cl-not-square": (dataclasses.replace(LOOP, A_cl=LOOP.A_cl[:, :-1]), FULL, P1),
+        "B_cl-rows": (dataclasses.replace(LOOP, B_cl=LOOP.B_cl[:-1]), FULL, P1),
+        "C_cl-columns": (dataclasses.replace(LOOP, C_cl=LOOP.C_cl[:, :-1]), FULL, P1),
+        "other-realization": (LOOP, triple_integrator(), TestFit.P2),
+        "realization-not-fitting": (LOOP, TestFit.SCALAR_FULL, P1),
+    }
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_refused(self, row):
+        with pytest.raises(DimensionMismatch):
+            _quietly(reduce_to_differences, *self.ROWS[row])
 
 
 # the case-1 p2 loop at rho = 4

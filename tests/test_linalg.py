@@ -178,6 +178,25 @@ class TestFilterRiccati:
             solve_filter_riccati(m.A, m.E, m.C, 1.0, 1.0)
         assert exc.value.offending_eigenvalues.shape == (6,)
 
+    def test_refusal_is_the_kernels_own_exception(self, monkeypatch):
+        # the caller passed delta and rho, so the refusal reaches it unwrapped
+        prepared = NoStabilizingSolution("prepared")
+
+        def refuse(*args):
+            raise prepared
+
+        monkeypatch.setattr(linalg, "_solve_care", refuse)
+        m = triple_integrator()
+        with pytest.raises(NoStabilizingSolution) as exc:
+            solve_filter_riccati(m.A, m.E, m.C, 4.0, 1.0)
+        assert exc.value is prepared
+
+    def test_refusal_names_neither_delta_nor_rho(self):
+        m = triple_integrator()
+        with pytest.raises(NoStabilizingSolution) as exc:
+            solve_filter_riccati(m.A, m.E, m.C, 4.0, 1.0)
+        assert str(exc.value) == "Hamiltonian has 2 eigenvalues on the imaginary axis"
+
     def test_scalar_closed_form(self):
         # A=0, E=C=1: Q^2 (delta^-2 - rho^2) = 1
         rho, delta = 1.0, 0.5

@@ -164,6 +164,12 @@ class TestSynthesizeP2:
         assert len(exc.value.diagnostics) == 1
         assert exc.value.diagnostics[0][0] == 0.5
 
+    def test_delta_hint_failure_reason_is_the_check_message(self):
+        with pytest.raises(DeltaSearchExhausted) as exc:
+            synthesize_p2(triple_integrator(), 4.0, delta_hint=0.5)
+        assert exc.value.diagnostics == [
+            (0.5, "Hamiltonian has 2 eigenvalues on the imaginary axis")]
+
     def test_rho_out_of_range(self):
         with pytest.raises(RhoOutOfRange):
             synthesize_p2(triple_integrator(), 0.99)
