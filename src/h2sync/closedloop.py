@@ -35,9 +35,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .conditions import AgentModel
-from .errors import DimensionMismatch, NotHurwitz
+from .errors import DimensionMismatch, NotHurwitz, RhoOutOfRange
 from .graph import CommGraph, LaplacianPair, laplacian
-from .linalg import h2_norm
+from .linalg import h2_norm, require_rho
 from .modal import modal_h2
 from .protocol import ProtocolRealization, controller_matrices, design
 
@@ -312,13 +312,20 @@ def rho_scaling_probe(model: AgentModel, g: CommGraph, kind: str, rho_list, delt
     Returns a list of (rho, h2, rho*h2, spectral_abscissa) rows,
     ordered by rho, the abscissa read off the mode spectra (no dense
     loop is formed).  For p2, `delta` fixes the low-gain parameter;
-    None means the halving search runs per rho.
+    None means the halving search runs per rho.  RhoOutOfRange, before
+    any design, unless rho_list is an iterable of valid rho values.
     """
+    try:
+        rhos = list(rho_list)
+    except TypeError:
+        raise RhoOutOfRange(f"rho_list must be a list of rho values, got {rho_list!r}") from None
+    for rho in rhos:
+        require_rho(rho)
     des = design(model, kind, g)
     assemble = assemble_p1 if kind == "p1" else assemble_p2
     lp = laplacian(g)
     rows = []
-    for rho in sorted(rho_list):
+    for rho in sorted(rhos):
         h2, spectrum = modal_h2(assemble(model, des.realize(rho, delta), lp))
         rows.append((rho, h2, rho * h2, float(spectrum.real.max())))
     return rows

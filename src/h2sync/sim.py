@@ -13,13 +13,17 @@ affine map z+ = M z + K w with M the fourth-order Taylor polynomial of
 expm(A dt); the ZOH step uses the exact exponential.  A single
 simulation is bit-reproducible from (config, seed).
 
-Every path runs that map in one kernel, `_propagate`, which yields the
-states in blocks of at most _BLOCK_BYTES and owns the divergence guard.
-`simulate` collects the blocks; `trajectory_blocks` hands them on, so
-the CLI writes trajectories in O(block + steps) memory; the Monte-Carlo
-helpers reduce each block to tail sums, added step by step so that no
-result depends on where blocks end.  `simulate` refuses a run whose
-trajectory would pass _SIMULATE_MAX_BYTES; such runs stream.
+Every path runs that map in one kernel, `_propagate`, which fills
+blocks of full loop states, at most _BLOCK_BYTES each, in place: the
+block starts as K w from one batched product over its steps, and each
+step adds M z to its row.  It yields the agent rows of each block and
+owns the divergence guard.  `simulate` collects the blocks;
+`trajectory_blocks` hands them on, so the CLI writes trajectories in
+O(block + steps) memory; the Monte-Carlo helpers reduce each block to
+square sums and add them to a running sum with np.add.accumulate, one
+step at a time, so that no result depends on where blocks end.
+`simulate` refuses a run whose trajectory would pass
+_SIMULATE_MAX_BYTES; such runs stream.
 
 The max-pair synchronization error of every path comes from one
 reduction, `_max_pair_sq`.  It copies each chunk of steps once into an
@@ -60,7 +64,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-# size cap of one block of stored states and of one pair-error chunk
+# size cap of one block of full loop states and of one pair-error chunk
 _BLOCK_BYTES = 2 << 20
 # the most `simulate` may hold in memory; longer runs stream instead
 _SIMULATE_MAX_BYTES = 1 << 30
@@ -156,39 +160,53 @@ def step_matrices(A, B, dt, integrator):
     return full[:dim, :dim], full[:dim, dim:]
 
 
+def _block_rows(width, runs):
+    """Rows of `width` values for each of `runs` runs that one block of
+    _BLOCK_BYTES holds, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * width * runs))
+
+
 def _propagate(M, K, z, steps, dt, rngs=None, keep=None):
     """Yield (i, block): the leading `keep` rows (default all) of states
     z_i, ..., z_{i+c-1} of z+ = M z + K w, from z_0 alone as first block.
 
     z is (dim,) for one run (each step a matrix-vector product) or
-    (dim, s) for s runs as columns.  With `rngs`, one per run, each block
-    draws its w from every generator in turn, scaled by sqrt(1/dt);
-    without, w = 0.  Raises Diverged when a block ends non-finite or with
-    a run's norm above DIVERGENCE_LIMIT."""
+    (dim, s) for s runs as columns.  A block holds c full states and is
+    sized by max(dim, nw) within _BLOCK_BYTES.  With `rngs`, one per run,
+    each block draws its w from every generator in turn, scaled by
+    sqrt(1/dt), and starts as the block's K w in one batched product (the
+    same product per step as K @ w); each step then adds M z in place.
+    Without `rngs`, w = 0 and each step writes M z into the block.  The
+    yielded rows are views of the block.  Raises Diverged when a block
+    ends non-finite or with a run's norm above DIVERGENCE_LIMIT."""
     keep = z.shape[0] if keep is None else keep
-    runs = z.shape[1:]
     nw = K.shape[1]
-    rows = max(1, _BLOCK_BYTES // (8 * max(keep, nw) * max(1, math.prod(runs))))
+    rows = _block_rows(max(z.shape[0], nw), math.prod(z.shape[1:]))
     sd = math.sqrt(1.0 / dt)
     yield 0, z[None, :keep].copy()
     k = 0
     while k < steps:
         c = min(rows, steps - k)
-        if rngs:
-            draws = [rng.standard_normal((c, nw)) for rng in rngs]
-            W = (np.stack(draws, axis=2) if runs else draws[0]) * sd
-        out = np.empty((c, keep) + runs)
         # overflow is the guard's to report, not numpy's (no yield inside)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(c):
-                z = M @ z + K @ W[j] if rngs else M @ z
-                out[j] = z[:keep]
+            if rngs:
+                W = np.stack([rng.standard_normal((c, nw)) for rng in rngs], axis=2) * sd
+                blk = np.matmul(K, W).reshape((c,) + z.shape)
+                blk[0] += M @ z
+                for j in range(1, c):
+                    blk[j] += M @ blk[j - 1]
+            else:
+                blk = np.empty((c,) + z.shape)
+                np.matmul(M, z, out=blk[0])
+                for j in range(1, c):
+                    np.matmul(M, blk[j - 1], out=blk[j])
+            z = blk[-1]
             norm = np.linalg.norm(z, axis=0).max()
         if not norm <= DIVERGENCE_LIMIT:  # a non-finite state fails too
             raise Diverged(
                 f"state norm exceeded {DIVERGENCE_LIMIT:.0e} by t={(k + c) * dt:.3f}"
             )
-        yield k + 1, out
+        yield k + 1, blk[:, :keep]
         k += c
 
 
@@ -261,7 +279,7 @@ def _max_pair_sq(X):
     (T, N, n), run_shape = X.shape[:3], X.shape[3:]
     runs = math.prod(run_shape)
     X = X.reshape(T, N, n, runs)
-    rows = max(1, _BLOCK_BYTES // (8 * N * n * runs))
+    rows = _block_rows(N * n, runs)
     # the diagonal pair gives 0 for a finite state, so 0 moves no maximum
     out = np.zeros((T, runs))
     Y = np.empty((N, n, min(rows, T), runs))
@@ -292,13 +310,17 @@ def _tail_start(T, tail_fraction):
 
 def _tail_rms(blocks, steps, tail_fraction, square_sum):
     """Tail RMS over t_1, ..., t_steps of the `_propagate` blocks, with
-    square_sum mapping a block's tail rows to squared values per step.
-    Steps are added one at a time, so no result depends on where blocks end."""
+    square_sum mapping a block's tail rows to a new array of squared
+    values per step.  Each block's rows are added to the running sum by
+    np.add.accumulate, which adds one step at a time, so no result
+    depends on where blocks end."""
     tail_start = _tail_start(steps, tail_fraction)
     acc = 0.0
     for i, blk in blocks:
-        for v in square_sum(blk[max(0, tail_start + 1 - i):]):
-            acc = acc + v
+        sq = square_sum(blk[max(0, tail_start + 1 - i):])
+        if len(sq):
+            sq[0] += acc
+            acc = np.add.accumulate(sq)[-1]
     return np.sqrt(acc / (steps - tail_start))
 
 

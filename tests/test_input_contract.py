@@ -237,6 +237,10 @@ class TestRhoAndDelta:
                                    DimensionMismatch),
         "probe-rho-text": (lambda m: rho_scaling_probe(m, case1_graph(), "p2", ["4"]),
                            RhoOutOfRange),
+        "probe-rho-mixed": (lambda m: rho_scaling_probe(m, case1_graph(), "p2", [4.0, "4"]),
+                            RhoOutOfRange),
+        "probe-rho-scalar": (lambda m: rho_scaling_probe(m, case1_graph(), "p2", 4.0),
+                             RhoOutOfRange),
     }
 
     @pytest.mark.parametrize("row", ROWS)

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as sla
 
 import h2sync.sim as sim
-from h2sync.cases import case1_graph, case2_graph, triple_integrator
+from h2sync.cases import case1_graph, case2_graph, triple_integrator, triple_integrator_full_state
 from h2sync.closedloop import assemble_p2, assemble_stacked
 from h2sync.conditions import AgentModel
 from h2sync.errors import ConfigInvalid, Diverged
@@ -341,6 +341,13 @@ def stacked_setup(cfg):
     return step_matrices(cl.A_cl, cl.B_cl, cfg.dt, cfg.integrator)
 
 
+def use_block_rows(monkeypatch, rows, dim, runs=1):
+    """Set _BLOCK_BYTES so that `runs` runs of a loop with `dim` states
+    propagate in blocks of `rows` steps."""
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", 8 * dim * runs * rows)
+    assert sim._block_rows(dim, runs) == rows
+
+
 def initial_state(cfg, rng, dim):
     N, n = cfg.graph.n_agents, cfg.model.n
     z = np.zeros(dim)
@@ -348,14 +355,31 @@ def initial_state(cfg, rng, dim):
     return z
 
 
+def other_loop_config(loop, **kw):
+    """The case-1 p2 loop of case1_p2_config, the case-2 p2 loop (rho 6)
+    or the case-1 p1 loop of the full-state triple integrator (rho 4)."""
+    if loop == "case1-p2":
+        return case1_p2_config(**kw)
+    if loop == "case2-p2":
+        m = triple_integrator()
+        return SimConfig(model=m, graph=case2_graph(),
+                         protocol=synthesize_p2(m, 6.0, delta_hint=0.0004), **kw)
+    m = triple_integrator_full_state()
+    return SimConfig(model=m, graph=case1_graph(), protocol=synthesize_p1(m, 4.0), **kw)
+
+
 class TestKernelBitExact:
     """The block kernel against plain per-step loops, with blocks small
     enough that the step count is not a multiple of the block length."""
 
-    @pytest.fixture(params=[None, 7 * 9 * 8], ids=["default-block", "7-row-block"])
+    @pytest.fixture(params=[None, 7], ids=["default-block", "7-row-block"])
     def block_bytes(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(sim, "_BLOCK_BYTES", request.param)
+        """Called with a loop's state count: keeps the default budget, or
+        sets one under which a single run of that loop takes 7-row blocks."""
+        def use(dim):
+            if request.param is not None:
+                use_block_rows(monkeypatch, request.param, dim)
+        return use
 
     @pytest.mark.parametrize("integrator", ["rk4", "zoh"])
     @pytest.mark.parametrize("noise", ["off", "white"])
@@ -363,6 +387,7 @@ class TestKernelBitExact:
         cfg = case1_p2_config(t_final=1.0, dt=1e-2, seed=4, noise=noise,
                               integrator=integrator)
         M, K = stacked_setup(cfg)
+        block_bytes(M.shape[0])
         rng = np.random.default_rng(cfg.seed)
         z = initial_state(cfg, rng, M.shape[0])
         steps = 100
@@ -380,6 +405,7 @@ class TestKernelBitExact:
     def test_monte_carlo_matches_step_loop(self, seeds, block_bytes):
         cfg = case1_p2_config(t_final=1.01, dt=1e-2, noise="white")
         M, K = stacked_setup(cfg)
+        block_bytes(M.shape[0])
         N, n, s = 3, 3, len(seeds)
         rngs = [np.random.default_rng(seed) for seed in seeds]
         Z = np.stack([initial_state(cfg, rng, M.shape[0]) for rng in rngs], axis=1)
@@ -412,6 +438,7 @@ class TestKernelBitExact:
         A, B, C = (np.array(X, dtype=float) for X in (A, B, C))
         dt, steps = 1e-2, 157
         M, K = step_matrices(A, B, dt, "rk4")
+        block_bytes(M.shape[0])
         rngs = [np.random.default_rng(seed) for seed in seeds]
         Wn = np.stack([rng.standard_normal((steps, B.shape[1])) for rng in rngs], axis=2)
         Wn = Wn * math.sqrt(1 / dt)
@@ -424,6 +451,60 @@ class TestKernelBitExact:
                 acc += ((C @ Z) ** 2).sum(axis=0)
         got = white_noise_rms(A, B, C, dt, steps * dt, seeds)
         assert np.array_equal(got, np.sqrt(acc / (steps - tail_start)))
+
+    # case2-p2: 20 agents, 180 states, 20 noise inputs; case1-p1: a static
+    # protocol, so the agent rows are the whole state
+    @pytest.mark.parametrize("loop", ["case2-p2", "case1-p1"])
+    @pytest.mark.parametrize("noise", ["off", "white"])
+    def test_other_loops_simulate_matches_step_loop(self, loop, noise, block_bytes):
+        cfg = other_loop_config(loop, t_final=1.0, dt=1e-2, seed=4, noise=noise)
+        M, K = stacked_setup(cfg)
+        block_bytes(M.shape[0])
+        N, n = cfg.graph.n_agents, cfg.model.n
+        rng = np.random.default_rng(cfg.seed)
+        z = initial_state(cfg, rng, M.shape[0])
+        steps = 100
+        W = rng.standard_normal((steps, K.shape[1])) * math.sqrt(1 / cfg.dt)
+        expect = [z[: N * n].copy()]
+        for k in range(steps):
+            z = M @ z + K @ W[k] if noise == "white" else M @ z
+            expect.append(z[: N * n].copy())
+        expect = np.array(expect).reshape(-1, N, n)
+        res = simulate(cfg)
+        assert np.array_equal(res.states, expect)
+        assert np.array_equal(res.sync_error, dense_max_pair_error(expect))
+
+    # one seed runs each step as a matrix-vector product on a (dim, 1) block
+    @pytest.mark.parametrize("loop, integrator, seeds", [
+        ("case2-p2", "rk4", [3]), ("case2-p2", "rk4", [3, 4, 5]),
+        ("case1-p1", "rk4", [3]), ("case1-p2", "zoh", [3, 4, 5]),
+        ("case2-p2", "zoh", [3, 4]),
+    ])
+    def test_other_loops_monte_carlo_matches_step_loop(self, loop, integrator, seeds,
+                                                       block_bytes):
+        cfg = other_loop_config(loop, t_final=1.01, dt=1e-2, noise="white",
+                                integrator=integrator)
+        M, K = stacked_setup(cfg)
+        block_bytes(M.shape[0])
+        N, n, s = cfg.graph.n_agents, cfg.model.n, len(seeds)
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        Z = np.stack([initial_state(cfg, rng, M.shape[0]) for rng in rngs], axis=1)
+        steps = 101
+        Wn = np.stack([rng.standard_normal((steps, K.shape[1])) for rng in rngs], axis=2)
+        Wn = Wn * math.sqrt(1 / cfg.dt)
+        acc_sync, acc_xbar = np.zeros(s), np.zeros(s)
+        tail_start = steps - math.ceil(steps * cfg.tail_fraction)
+        for k in range(steps):
+            Z = M @ Z + K @ Wn[k]
+            if k + 1 > tail_start:
+                X = Z[: N * n].reshape(N, n, s)
+                acc_xbar += ((X[: N - 1] - X[N - 1]) ** 2).sum(axis=(0, 1))
+                D = X[:, None] - X[None, :]
+                acc_sync += (D**2).sum(axis=2).max(axis=(0, 1))
+        count = steps - tail_start
+        got_sync, got_xbar = monte_carlo_rms(cfg, seeds)
+        assert np.array_equal(got_sync, np.sqrt(acc_sync / count))
+        assert np.array_equal(got_xbar, np.sqrt(acc_xbar / count))
 
 
 class TestDivergenceGuard:
@@ -466,12 +547,40 @@ class TestDivergenceGuard:
 
 class TestTrajectoryBlocks:
     def test_blocks_cover_the_run(self, monkeypatch):
-        monkeypatch.setattr(sim, "_BLOCK_BYTES", 20 * 60 * 8)
         real = synthesize_p2(triple_integrator(), 6.0, delta_hint=0.0004)
         cfg = SimConfig(model=triple_integrator(), graph=case2_graph(), protocol=real,
                         t_final=0.25, dt=1e-3, noise="white", seed=8)
+        use_block_rows(monkeypatch, 20, stacked_setup(cfg)[0].shape[0])
         blocks = list(sim.trajectory_blocks(cfg))
         assert len(blocks) > 2
         assert [i for i, _ in blocks] == [0, *range(1, 251, 20)]
         states = np.concatenate([b for _, b in blocks])
         assert np.array_equal(states, simulate(cfg).states)
+
+
+class TestKernelMemory:
+    """Propagation holds a few blocks of full loop states (the block being
+    filled, the one its caller still holds, the noise of one block),
+    however many steps it runs."""
+
+    @staticmethod
+    def monte_carlo(cfg):
+        return np.array(monte_carlo_rms(cfg, range(20)))
+
+    @staticmethod
+    def trajectory(cfg):
+        for _ in sim.trajectory_blocks(cfg):
+            pass
+        return np.empty(0)
+
+    # 20 seeds take 72-step blocks, one run 1456-step blocks: each pair of
+    # horizons spans at least two full blocks
+    @pytest.mark.parametrize("run, horizons", [("monte_carlo", (1.0, 4.0)),
+                                               ("trajectory", (4.0, 16.0))])
+    def test_peak_is_a_few_blocks(self, run, horizons):
+        fn = getattr(self, run)
+        peaks = [traced_peak(fn, other_loop_config("case2-p2", t_final=t_final, dt=1e-3,
+                                                   noise="white", seed=2))
+                 for t_final in horizons]
+        assert max(peaks) <= 3 * sim._BLOCK_BYTES
+        assert peaks[1] <= peaks[0] + sim._BLOCK_BYTES // 4
