@@ -4,9 +4,17 @@ Subcommands: check, synth, analyze, simulate, reproduce-case1,
 reproduce-case2.  Exit codes: 0 success, 1 solvability failure,
 2 input error (including unreadable files), 3 numerical failure or any
 other error.
+
+`simulate` and `reproduce-*` run their rho values in parallel, one
+forked worker per usable core up to the number of rho values (in process
+when that is one).  Output files, stdout and failures are those of the
+serial order: the first failure in rho order is reported, the runs
+before it keep their files and lines, and no later run leaves a file.
 """
 
 import argparse
+import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -201,20 +209,82 @@ def _write_trajectory(cfg, path):
     return np.concatenate(sync)
 
 
+def _simulate_one(cfg, path):
+    """One rho's run, in a worker or in process: stream its trajectory CSV
+    to `path` and return the tail RMS of its sync error."""
+    return rms(_write_trajectory(cfg, path), cfg.tail_fraction)
+
+
+def _pool(runs):
+    """A pool of forked workers, one per usable core up to `runs`, or a
+    null context (None) when that is one worker or fork is unavailable.
+
+    Fork, not spawn: a spawned worker would import numpy and scipy again,
+    which costs about as much as a run.  The executor forks its workers
+    before it starts its own threads, and the CLI runs no other thread."""
+    import multiprocessing
+
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    workers = min(runs, cores)
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return contextlib.nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def _pooled_result(pool, runs):
+    """The result of the first of `runs`, each (rho, realization, path,
+    future).  If it failed, the runs not yet started are cancelled, the
+    others awaited, and the files of all that started removed (a worker
+    killed mid-run cannot remove its own) before the failure is raised."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    rho, _, _, future = runs[0]
+    try:
+        return future.result()
+    except BaseException as exc:
+        pool.shutdown(cancel_futures=True)
+        for _, _, path, run in runs:
+            if not run.cancelled():
+                path.unlink(missing_ok=True)
+        if isinstance(exc, BrokenProcessPool):
+            raise H2SyncError(f"the run for rho={rho:g} was lost: {exc}") from None
+        raise
+
+
 def _run_simulations(des, g, rhos, delta, args, out, case_name):
+    """Simulate every rho, in forked workers when more than one core is
+    usable, and report the runs in rho order.  Output and failures are
+    those of a serial loop: the first failure in rho order is raised, the
+    runs before it are printed and keep their files, and no later run
+    leaves a file or a summary."""
     summary = ["case,rho,delta,seed,rms_sync_error"]
-    for rho in rhos:
-        real = des.realize(rho, delta)
-        cfg = SimConfig(
-            model=des.model, graph=g, protocol=real,
-            t_final=args.t_final, dt=args.dt, noise=args.noise,
-            seed=args.seed, integrator=args.integrator,
-        )
-        traj = out / f"trajectory_{case_name}_rho{rho:g}.csv"
-        rms_sync = rms(_write_trajectory(cfg, traj), cfg.tail_fraction)
-        d = "" if real.delta is None else f"{real.delta:.10g}"
-        summary.append(f"{case_name},{rho:g},{d},{args.seed},{rms_sync:.10g}")
-        print(f"rho={rho:g}: rms_sync_error={rms_sync:.6g} -> {traj}")
+    runs, failure = [], None
+    with _pool(len(rhos)) as pool:
+        try:
+            for rho in rhos:
+                real = des.realize(rho, delta)
+                cfg = SimConfig(
+                    model=des.model, graph=g, protocol=real,
+                    t_final=args.t_final, dt=args.dt, noise=args.noise,
+                    seed=args.seed, integrator=args.integrator,
+                )
+                traj = out / f"trajectory_{case_name}_rho{rho:g}.csv"
+                run = (cfg, traj) if pool is None else pool.submit(_simulate_one, cfg, traj)
+                runs.append((rho, real, traj, run))
+        except Exception as exc:  # raised once the runs before it are reported
+            failure = exc
+        for k, (rho, real, traj, run) in enumerate(runs):
+            rms_sync = _simulate_one(*run) if pool is None else _pooled_result(pool, runs[k:])
+            d = "" if real.delta is None else f"{real.delta:.10g}"
+            summary.append(f"{case_name},{rho:g},{d},{args.seed},{rms_sync:.10g}")
+            print(f"rho={rho:g}: rms_sync_error={rms_sync:.6g} -> {traj}")
+    if failure is not None:
+        raise failure
     (out / "summary.csv").write_text("\n".join(summary) + "\n")
     return EXIT_OK
 

@@ -1,6 +1,9 @@
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,7 @@ from h2sync.cases import (
 from h2sync.cli import main
 from h2sync.closedloop import rho_scaling_probe
 from h2sync.conditions import model_to_text
-from h2sync.errors import Diverged
+from h2sync.errors import DeltaSearchExhausted, Diverged
 from h2sync.graph import graph_to_text
 from h2sync.protocol import parse_realization, synthesize_p2
 
@@ -270,14 +273,24 @@ class TestReproduceOutputs:
     """Streamed reproduce files equal the reference formatter applied to
     simulate() with the same configuration, over many blocks."""
 
+    @pytest.mark.parametrize("cores", ["one", "usable"])
     @pytest.mark.parametrize("which,graph", [(1, case1_graph), (2, case2_graph)])
-    def test_files_match_simulate(self, which, graph, tmp_path, monkeypatch, capsys):
+    def test_files_match_simulate(self, which, graph, cores, tmp_path, monkeypatch, capsys):
+        # on one core the runs stay in process; otherwise they go to a pool
+        if cores == "one":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        workers = min(len(CASE_RHOS), len(os.sched_getaffinity(0)))
+        threads, forks = threading.active_count(), []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(threading.active_count()) or fork())
         monkeypatch.setattr(sim, "_BLOCK_BYTES", 4096)
         out = tmp_path / f"case{which}"
         t_final, dt, seed = 0.3, 1e-3, 12
         code = main([f"reproduce-case{which}", "--noise", "white", "--seed", str(seed),
                      "--t-final", str(t_final), "--dt", str(dt), "--out", str(out)])
         assert code == 0
+        # every worker is forked before the pool starts a thread of its own
+        assert forks == ([threads] * workers if workers > 1 else [])
         model = triple_integrator()
         summary = ["case,rho,delta,seed,rms_sync_error"]
         for rho in CASE_RHOS:
@@ -302,6 +315,106 @@ class TestReproduceOutputs:
         assert main(["reproduce-case1", "--t-final", "1.0", "--dt", "0.01",
                      "--out", str(out)]) == 3
         assert not list(out.glob("trajectory_*.csv"))
+
+
+class TestRhoOrder:
+    """`reproduce` and `simulate` run their rho values in forked workers
+    when more than one core is usable.  What they print, write and
+    report is what a serial loop over the rho values gives, and nothing
+    they start outlives `main`.  The workers are forked after the
+    monkeypatches here, so they run the patched functions."""
+
+    ARGV = ["reproduce-case1", "--t-final", "0.1", "--dt", "0.001"]
+
+    @staticmethod
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    @pytest.fixture(params=["one", "usable"])
+    def run(self, request, tmp_path, capsys, monkeypatch):
+        """Run `main` on `argv`, on one core (in process) or on the usable
+        ones, and check that no file descriptor, thread or process
+        outlives it and that no fork was warned about."""
+        if request.param == "one":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+        def run(argv):
+            out = tmp_path / "out"
+            threads, fds = threading.active_count(), self.open_fds()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv + ["--out", str(out)])
+            assert self.open_fds() == fds
+            assert threading.active_count() == threads
+            assert multiprocessing.active_children() == []
+            assert not [w for w in caught if issubclass(w.category, DeprecationWarning)
+                        and "fork" in str(w.message)]
+            captured = capsys.readouterr()
+            files = sorted(p.name for p in out.iterdir())
+            return code, captured.out, captured.err, files
+        return run
+
+    def test_success_prints_rho_order(self, run):
+        code, out, err, files = run(["reproduce-case2", *self.ARGV[1:]])
+        assert code == 0 and err == ""
+        assert [ln.split(":")[0] for ln in out.splitlines()] == ["rho=4", "rho=6", "rho=10"]
+        assert files == ["run_config.txt", "summary.csv", *(
+            f"trajectory_case2_rho{rho}.csv" for rho in (10, 4, 6))]
+
+    def test_divergence_in_middle_rho(self, run, monkeypatch):
+        def diverging_at_6(cfg):
+            if cfg.protocol.rho != 6:
+                yield from sim.trajectory_blocks(cfg)
+                return
+            yield 0, np.zeros((1, cfg.graph.n_agents, cfg.model.n))
+            raise Diverged("state norm exceeded 1e+12 by t=0.100")
+
+        monkeypatch.setattr(cli, "trajectory_blocks", diverging_at_6)
+        code, out, err, files = run(self.ARGV)
+        assert code == 3
+        assert err == "numerical failure: state norm exceeded 1e+12 by t=0.100\n"
+        assert files == ["run_config.txt", "trajectory_case1_rho4.csv"]
+        assert [ln.split(":")[0] for ln in out.splitlines()] == ["rho=4"]
+
+    def test_realize_failure_at_last_rho(self, run, monkeypatch):
+        realize = protocol.ProtocolDesign.realize
+
+        def exhausted_at_10(self, rho, delta=None):
+            if rho == 10:
+                raise DeltaSearchExhausted("no feasible delta found for rho=10")
+            return realize(self, rho, delta)
+
+        monkeypatch.setattr(protocol.ProtocolDesign, "realize", exhausted_at_10)
+        code, out, err, files = run(self.ARGV)
+        assert code == 3
+        assert err == "numerical failure: no feasible delta found for rho=10\n"
+        assert files == ["run_config.txt", "trajectory_case1_rho4.csv",
+                         "trajectory_case1_rho6.csv"]
+        assert [ln.split(":")[0] for ln in out.splitlines()] == ["rho=4", "rho=6"]
+
+    @pytest.mark.parametrize("run", ["usable"], indirect=True)
+    def test_lost_worker_names_its_rho(self, run, monkeypatch):
+        # a worker killed mid-run cannot remove its file; the parent does
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one usable core: the runs stay in process")
+
+        test_process = os.getpid()
+
+        def killed_at_4(cfg):
+            if cfg.protocol.rho != 4:
+                yield from sim.trajectory_blocks(cfg)
+                return
+            yield 0, np.zeros((1, cfg.graph.n_agents, cfg.model.n))
+            if os.getpid() == test_process:
+                raise AssertionError("the rho=4 run was not in a worker")
+            os._exit(1)
+
+        monkeypatch.setattr(cli, "trajectory_blocks", killed_at_4)
+        code, out, err, files = run(self.ARGV)
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: the run for rho=4 was lost: ")
+        assert err.count("\n") == 1
+        assert files == ["run_config.txt"]
 
 
 class TestNonFiniteTime:
