@@ -212,7 +212,7 @@ def _write_trajectory(cfg, path):
 def _simulate_one(cfg, path):
     """One rho's run, in a worker or in process: stream its trajectory CSV
     to `path` and return the tail RMS of its sync error."""
-    return rms(_write_trajectory(cfg, path), cfg.tail_fraction)
+    return rms(_write_trajectory(cfg, path))
 
 
 def _pool(runs):

@@ -37,7 +37,7 @@ import scipy.linalg as sla
 from .conditions import AgentModel
 from .errors import DimensionMismatch, NotHurwitz, RhoOutOfRange
 from .graph import CommGraph, LaplacianPair, laplacian
-from .linalg import h2_norm, require_rho
+from .linalg import _as_matrix, h2_norm, require_rho
 from .modal import modal_h2
 from .protocol import ProtocolRealization, controller_matrices, design
 
@@ -52,18 +52,6 @@ __all__ = [
     "rho_scaling_probe",
     "probe_to_csv",
 ]
-
-
-def _real(x, name, ndim):
-    """x as a finite float array of `ndim` dimensions; DimensionMismatch
-    naming it otherwise."""
-    x = np.asarray(x)
-    if x.dtype.kind not in "biuf" or x.ndim != ndim:
-        raise DimensionMismatch(f"{name} must be a real {ndim}-D array, "
-                                f"got dtype {x.dtype} and shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise DimensionMismatch(f"{name} contains NaN or Inf entries")
-    return x.astype(float, copy=False)
 
 
 @dataclass
@@ -95,8 +83,8 @@ class ModeData:
     E: np.ndarray
 
     def __post_init__(self):
-        self.D, self.L_reduced = _real(self.D, "D", 2), _real(self.L_reduced, "L_reduced", 2)
-        self.M, self.E = _real(self.M, "M", 3), _real(self.E, "E", 3)
+        self.D, self.L_reduced = _as_matrix(self.D, "D"), _as_matrix(self.L_reduced, "L_reduced")
+        self.M, self.E = _as_matrix(self.M, "M", ndim=3), _as_matrix(self.E, "E", ndim=3)
         b = self.D.shape[0] // self.n if self.n >= 1 else 0
         if b < 1 or self.D.shape != (b * self.n, b * self.n):
             raise DimensionMismatch(

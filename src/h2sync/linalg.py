@@ -55,18 +55,21 @@ class StableSubspaceResult:
     closed_loop_spectrum: np.ndarray
 
 
-def _as_matrix(M, name, rows=None, cols=None):
-    """M as a finite float 2-D matrix with `rows` rows and `cols` columns
-    where given; DimensionMismatch naming it otherwise."""
+def _as_matrix(M, name, rows=None, cols=None, ndim=2):
+    """M as a finite float matrix (a stack of them for ndim=3) with `rows`
+    rows and `cols` columns where given; DimensionMismatch naming it
+    otherwise.  A scalar or vector is a one-row matrix."""
     try:
-        M = np.atleast_2d(np.asarray(M))
+        M = np.asarray(M)
     except ValueError as exc:  # ragged nesting
-        raise DimensionMismatch(f"{name} is not a matrix: {exc}") from None
+        raise DimensionMismatch(f"{name} is not a rectangular array: {exc}") from None
+    M = np.atleast_2d(M) if ndim == 2 else M
     if M.dtype.kind not in "biuf":  # a cast would drop imaginary parts or parse text
         raise DimensionMismatch(f"{name} must hold real numbers, got dtype {M.dtype}")
     M = M.astype(float, copy=False)
-    if M.ndim != 2 or rows not in (None, M.shape[0]) or cols not in (None, M.shape[1]):
-        want = ", ".join("*" if k is None else str(k) for k in (rows, cols))
+    shape = (rows, cols) + (None,) * (ndim - 2)
+    if M.ndim != ndim or any(k not in (None, m) for k, m in zip(shape, M.shape)):
+        want = ", ".join("*" if k is None else str(k) for k in shape)
         raise DimensionMismatch(f"{name} must have shape ({want}), got {M.shape}")
     if not np.all(np.isfinite(M)):
         raise DimensionMismatch(f"{name} contains NaN or Inf entries")

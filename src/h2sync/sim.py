@@ -25,6 +25,10 @@ step at a time, so that no result depends on where blocks end.
 `simulate` refuses a run whose trajectory would pass
 _SIMULATE_MAX_BYTES; such runs stream.
 
+Every RMS here averages the second half of its run, the last ceil(T/2)
+of T samples: of t_0, ..., t_steps for `simulate` and the CLI's
+summary.csv, of t_1, ..., t_steps for the Monte-Carlo paths.
+
 The max-pair synchronization error of every path comes from one
 reduction, `_max_pair_sq`.  It copies each chunk of steps once into an
 agent-major layout whose last axis is steps x runs, then works agent by
@@ -37,7 +41,7 @@ single run), not only its values.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -70,20 +74,29 @@ _BLOCK_BYTES = 2 << 20
 _SIMULATE_MAX_BYTES = 1 << 30
 
 
-def _check_time_grid(dt, t_final, tail_fraction, integrator):
-    """Reject a step, horizon, tail window or integrator no run can use."""
-    if not (0.0 < dt < math.inf):
-        raise ConfigInvalid(f"dt must be positive and finite, got {dt}")
-    if not math.isfinite(t_final):
-        raise ConfigInvalid(f"t_final must be finite, got {t_final}")
+def _require_dt(dt):
+    """ConfigInvalid unless the step dt is a positive finite real number."""
+    if not (isinstance(dt, numbers.Real) and 0.0 < dt < math.inf):
+        raise ConfigInvalid(f"dt must be a positive finite real number, got {dt!r}")
+
+
+def _require_integrator(integrator):
+    """ConfigInvalid unless integrator names one of the two step maps."""
+    if integrator not in ("rk4", "zoh"):
+        raise ConfigInvalid(f"integrator must be 'rk4' or 'zoh', got {integrator!r}")
+
+
+def _check_time_grid(dt, t_final):
+    """The step count round(t_final / dt) of a run; ConfigInvalid for a
+    step or horizon no run can use."""
+    _require_dt(dt)
+    if not (isinstance(t_final, numbers.Real) and math.isfinite(t_final)):
+        raise ConfigInvalid(f"t_final must be a finite real number, got {t_final!r}")
     if t_final < 100 * dt:
         raise ConfigInvalid(
             f"t_final must be at least 100*dt = {100 * dt}, got {t_final}"
         )
-    if not (0.0 < tail_fraction < 1.0):
-        raise ConfigInvalid(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
-    if integrator not in ("rk4", "zoh"):
-        raise ConfigInvalid(f"integrator must be 'rk4' or 'zoh', got {integrator!r}")
+    return int(round(t_final / dt))
 
 
 @dataclass
@@ -96,14 +109,14 @@ class SimConfig:
     noise: str = "off"
     seed: int = 0
     initial_conditions: Optional[np.ndarray] = None
-    tail_fraction: float = 0.5
     integrator: str = "rk4"
 
     def __post_init__(self):
-        _check_time_grid(self.dt, self.t_final, self.tail_fraction, self.integrator)
+        _check_time_grid(self.dt, self.t_final)
         self.protocol.require_fits(self.model)
         if self.noise not in ("off", "white"):
             raise ConfigInvalid(f"noise must be 'off' or 'white', got {self.noise!r}")
+        _require_integrator(self.integrator)
         if self.initial_conditions is not None:
             try:
                 self.initial_conditions = _as_matrix(self.initial_conditions, "initial_conditions",
@@ -113,7 +126,7 @@ class SimConfig:
 
     @property
     def steps(self):
-        return int(round(self.t_final / self.dt))
+        return _check_time_grid(self.dt, self.t_final)
 
 
 @dataclass
@@ -122,7 +135,6 @@ class SimResult:
     states: np.ndarray  # (steps+1, N, n) agent states
     sync_error: np.ndarray  # max over pairs of ||x_i - x_j|| per step
     rms_sync_error: float
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -135,7 +147,10 @@ class ConsistencyResult:
 
 def step_matrices(A, B, dt, integrator):
     """One-step affine propagators (M, K): z+ = M z + K w for input held
-    over the step.  rk4 = 4th-order Taylor polynomial; zoh = exact."""
+    over the step.  rk4 = 4th-order Taylor polynomial; zoh = exact; any
+    other integrator, or a step `_require_dt` refuses, is ConfigInvalid."""
+    _require_dt(dt)
+    _require_integrator(integrator)
     A, B, _ = _as_system(A, B)
     dim = A.shape[0]
     if integrator == "rk4":
@@ -303,18 +318,13 @@ def _max_pair_error(states):
     return np.sqrt(_max_pair_sq(states))
 
 
-def _tail_start(T, tail_fraction):
-    """The tail window of every RMS here: the last ceil(T tail_fraction) of T samples."""
-    return T - int(math.ceil(T * tail_fraction))
-
-
-def _tail_rms(blocks, steps, tail_fraction, square_sum):
-    """Tail RMS over t_1, ..., t_steps of the `_propagate` blocks, with
-    square_sum mapping a block's tail rows to a new array of squared
-    values per step.  Each block's rows are added to the running sum by
-    np.add.accumulate, which adds one step at a time, so no result
-    depends on where blocks end."""
-    tail_start = _tail_start(steps, tail_fraction)
+def _tail_rms(blocks, steps, square_sum):
+    """RMS over the last ceil(steps/2) of t_1, ..., t_steps of the
+    `_propagate` blocks, with square_sum mapping a block's tail rows to a
+    new array of squared values per step.  Each block's rows are added
+    to the running sum by np.add.accumulate, which adds one step at a
+    time, so no result depends on where blocks end."""
+    tail_start = steps // 2
     acc = 0.0
     for i, blk in blocks:
         sq = square_sum(blk[max(0, tail_start + 1 - i):])
@@ -324,20 +334,22 @@ def _tail_rms(blocks, steps, tail_fraction, square_sum):
     return np.sqrt(acc / (steps - tail_start))
 
 
-def rms(signal, tail_fraction):
-    """Root-mean-square of a sampled signal over the trailing window.
+def rms(signal):
+    """Root-mean-square of a sampled signal over its second half.
 
     signal is (T,) or (T, k); the value is the square root of the time
-    average of the squared 2-norm over the last ceil(T * tail_fraction)
-    samples.  ConfigInvalid for an empty signal.
+    average of the squared 2-norm over the last ceil(T/2) samples.
+    ConfigInvalid for an empty signal or one that is not an array of
+    real numbers.
     """
-    sig = np.atleast_1d(np.asarray(signal, dtype=float))
-    if not (0.0 < tail_fraction < 1.0):
-        raise ConfigInvalid(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
+    try:
+        sig = np.atleast_1d(np.asarray(signal))
+    except ValueError as exc:  # ragged nesting
+        raise ConfigInvalid(f"rms of a ragged signal: {exc}") from None
     T = sig.shape[0]
-    if T == 0:
-        raise ConfigInvalid("rms of an empty signal")
-    tail = sig[_tail_start(T, tail_fraction):]
+    if T == 0 or sig.dtype.kind not in "biuf":  # a cast would drop imaginary parts or parse text
+        raise ConfigInvalid(f"rms needs a nonempty real signal, got {sig.dtype} {sig.shape}")
+    tail = sig[T // 2:].astype(float, copy=False)
     sq = tail**2 if tail.ndim == 1 else (tail**2).sum(axis=1)
     return float(np.sqrt(sq.mean()))
 
@@ -361,7 +373,7 @@ def simulate(cfg: SimConfig) -> SimResult:
     1e12 (unstable or misconfigured loop).  ConfigInvalid, before any
     step, when the states, times and errors it keeps would pass
     _SIMULATE_MAX_BYTES.  rms_sync_error, like the CLI's summary.csv,
-    averages the last ceil((steps + 1) tail_fraction) of t_0, ..., t_steps.
+    averages the last ceil((steps + 1)/2) of t_0, ..., t_steps.
     """
     steps = cfg.steps
     N, n = cfg.graph.n_agents, cfg.model.n
@@ -375,15 +387,7 @@ def simulate(cfg: SimConfig) -> SimResult:
     for i, blk in trajectory_blocks(cfg):
         states[i : i + len(blk)] = blk
     sync = _max_pair_error(states)
-    run = ("seed", "dt", "t_final", "noise", "integrator", "tail_fraction")
-    return SimResult(
-        t=np.arange(steps + 1) * cfg.dt,
-        states=states,
-        sync_error=sync,
-        rms_sync_error=rms(sync, cfg.tail_fraction),
-        metadata={"kind": cfg.protocol.kind, "rho": cfg.protocol.rho,
-                  "delta": cfg.protocol.delta, **{k: getattr(cfg, k) for k in run}},
-    )
+    return SimResult(np.arange(steps + 1) * cfg.dt, states, sync, rms(sync))
 
 
 def monte_carlo_rms(cfg: SimConfig, seeds):
@@ -392,7 +396,7 @@ def monte_carlo_rms(cfg: SimConfig, seeds):
     Returns (rms_sync, rms_xbar): per-seed tail RMS of the max-pair
     synchronization error and of the stacked difference vector
     xbar = (x_1 - x_N, ..., x_{N-1} - x_N), the tail being the last
-    ceil(steps tail_fraction) of t_1, ..., t_steps.  Each seed's initial
+    ceil(steps/2) of t_1, ..., t_steps.  Each seed's initial
     conditions and noise stream match a single run with that seed.
     """
     if cfg.noise != "white":
@@ -406,21 +410,20 @@ def monte_carlo_rms(cfg: SimConfig, seeds):
         return np.stack([_max_pair_sq(X), (xb**2).sum(axis=(1, 2))], axis=1)
 
     blocks = _propagate(M, K, Z, cfg.steps, cfg.dt, rngs, keep=N * n)
-    return tuple(_tail_rms(blocks, cfg.steps, cfg.tail_fraction, square_sums))
+    return tuple(_tail_rms(blocks, cfg.steps, square_sums))
 
 
-def white_noise_rms(A, B, C, dt, t_final, seeds, tail_fraction=0.5,
-                    integrator="rk4"):
+def white_noise_rms(A, B, C, dt, t_final, seeds):
     """Per-seed RMS of y = C z for dz = A z + B w under held white noise
-    (zero initial state) over the tail of `monte_carlo_rms`; the sanity
-    kernel of the H2-as-RMS checks, seeds batched as columns."""
-    _check_time_grid(dt, t_final, tail_fraction, integrator)
+    (zero initial state), RK4-stepped, over the last ceil(steps/2) of
+    t_1, ..., t_steps as in `monte_carlo_rms`; the sanity kernel of the
+    H2-as-RMS checks, seeds batched as columns."""
+    steps = _check_time_grid(dt, t_final)
     A, B, C = _as_system(A, B, C)
     rngs = _generators(seeds)
-    M, K = step_matrices(A, B, dt, integrator)
-    steps = int(round(t_final / dt))
+    M, K = step_matrices(A, B, dt, "rk4")
     blocks = _propagate(M, K, np.zeros((A.shape[0], len(rngs))), steps, dt, rngs)
-    return _tail_rms(blocks, steps, tail_fraction, lambda blk: ((C @ blk) ** 2).sum(axis=1))
+    return _tail_rms(blocks, steps, lambda blk: ((C @ blk) ** 2).sum(axis=1))
 
 
 def rms_vs_h2_consistency(cfg: SimConfig, n_seeds: int) -> ConsistencyResult:

@@ -4,8 +4,8 @@ Every public function that takes state-space matrices refuses a NaN
 entry, complex entries, a matrix of the wrong shape and an empty state
 (n = 0) with an H2SyncError subclass and no warning.  A realization is refused by every
 function that uses it with a model it does not fit.  Seeds, signals,
-graph headers, tolerances, rho and delta values that are not real
-numbers, the arrays of an error-form loop's `ModeData` and a stacked
+graph headers, tolerances, rho, delta, dt and t_final values that are
+not real numbers, the arrays of an error-form loop's `ModeData` and a stacked
 loop that does not fit `reduce_to_differences` get typed errors as
 well, and the CLI exits 2 with one stderr line on the model and graph
 files below.
@@ -282,14 +282,19 @@ MODES = assemble_p2(triple_integrator(), synthesize_p2(triple_integrator(), 4.0,
 
 
 def _mode_rows(md):
-    """(id, field, bad value): `md` with a non-finite, complex or
-    misshapen array or an index out of range."""
+    """(id, field, bad value): `md` with a non-finite, complex, text,
+    ragged or misshapen array or an index out of range."""
     for field in ("D", "L_reduced", "M", "E"):
         for label, bad in (("nan", np.nan), ("inf", np.inf)):
             v = getattr(md, field).copy()
             v.flat[-1] = bad
             yield f"{field}-{label}", field, v
         yield f"{field}-complex", field, (1 + 1j) * getattr(md, field)
+    for field in ("D", "M", "E"):
+        yield f"{field}-text", field, getattr(md, field).astype(str)
+        ragged = getattr(md, field).tolist()
+        ragged[-1] = ragged[-1][:-1]  # nested lists numpy cannot stack
+        yield f"{field}-ragged", field, ragged
     yield "D-not-blocks", "D", md.D[:-1, :-1]
     yield "L_reduced-not-square", "L_reduced", md.L_reduced[:, :1]
     yield "L_reduced-empty", "L_reduced", np.zeros((0, 0))
@@ -375,7 +380,23 @@ class TestSeedsAndSignals:
     @pytest.mark.parametrize("signal", [[], np.zeros((0, 3))])
     def test_rms_of_empty_signal(self, signal):
         with pytest.raises(ConfigInvalid):
-            _quietly(rms, signal, 0.5)
+            _quietly(rms, signal)
+
+    @pytest.mark.parametrize("signal", [[[1.0], [2.0, 3.0]], ["a", "b"], [3j, 3j], [None, 1.0]],
+                             ids=["ragged", "text", "complex", "none"])
+    def test_rms_of_non_real_signal(self, signal):
+        with pytest.raises(ConfigInvalid):
+            _quietly(rms, signal)
+
+    @pytest.mark.parametrize("run", [
+        lambda cfg: dataclasses.replace(cfg, dt="0.001"),
+        lambda cfg: dataclasses.replace(cfg, t_final=None),
+        lambda cfg: white_noise_rms(-1.0, 1.0, 1.0, 1e-3, "1", [0]),
+    ], ids=["SimConfig-dt-text", "SimConfig-t_final-None", "white_noise_rms-t_final-text"])
+    def test_time_grid_not_a_number(self, run):
+        cfg = self.config()
+        with pytest.raises(ConfigInvalid, match="real number"):
+            _quietly(run, cfg)
 
 
 class TestNoInputOrOutput:

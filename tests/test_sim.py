@@ -37,22 +37,25 @@ def case1_p2_config(**kw):
 
 class TestRms:
     def test_constant(self):
-        assert rms(np.full(1000, -3.0), 0.5) == pytest.approx(3.0)
+        assert rms(np.full(1000, -3.0)) == pytest.approx(3.0)
 
     def test_zero(self):
-        assert rms(np.zeros(500), 0.25) == 0.0
+        assert rms(np.zeros(500)) == 0.0
 
     def test_sine(self):
         t = np.linspace(0.0, 200 * np.pi, 200_001)
-        assert rms(np.sin(t), 0.5) == pytest.approx(1 / np.sqrt(2), rel=0.01)
+        assert rms(np.sin(t)) == pytest.approx(1 / np.sqrt(2), rel=0.01)
 
     def test_vector_signal(self):
         sig = np.ones((100, 4))
-        assert rms(sig, 0.5) == pytest.approx(2.0)
+        assert rms(sig) == pytest.approx(2.0)
 
-    def test_bad_tail(self):
-        with pytest.raises(ConfigInvalid):
-            rms(np.ones(10), 1.5)
+    @pytest.mark.parametrize("T", [1, 2, 5, 6])
+    def test_second_half_window(self, T):
+        # the last ceil(T/2) samples are 2, every earlier one is 100
+        sig = np.full(T, 100.0)
+        sig[T - math.ceil(T / 2):] = 2.0
+        assert rms(sig) == 2.0
 
 
 class TestConfigValidation:
@@ -83,25 +86,27 @@ class TestConfigValidation:
             case1_p2_config(**{field: value})
 
 
-    @pytest.mark.parametrize("dt, t_final, tail_fraction", [
-        (math.nan, 1.0, 0.5),
-        (0.0, 1.0, 0.5),
-        (math.inf, 1.0, 0.5),
-        (1e-3, math.inf, 0.5),
-        (1e-3, math.nan, 0.5),
-        (1e-3, 0.0, 0.5),
-        (1e-3, 0.05, 0.5),
-        (1e-3, 1.0, 0.0),
-        (1e-3, 1.0, math.nan),
+    @pytest.mark.parametrize("dt, t_final", [
+        (math.nan, 1.0),
+        (0.0, 1.0),
+        (math.inf, 1.0),
+        (1e-3, math.inf),
+        (1e-3, math.nan),
+        (1e-3, 0.0),
+        (1e-3, 0.05),
     ])
-    def test_white_noise_rms_time_grid(self, dt, t_final, tail_fraction):
+    def test_white_noise_rms_time_grid(self, dt, t_final):
         with pytest.raises(ConfigInvalid):
-            white_noise_rms(-1.0, 1.0, 1.0, dt, t_final, [0], tail_fraction=tail_fraction)
+            white_noise_rms(-1.0, 1.0, 1.0, dt, t_final, [0])
 
-    def test_white_noise_rms_integrator(self):
-        # step_matrices reads any name but "rk4" as exact ZOH
-        with pytest.raises(ConfigInvalid, match="integrator"):
-            white_noise_rms(-1.0, 1.0, 1.0, 0.01, 2.0, [0], integrator="euler")
+    @pytest.mark.parametrize("dt, integrator, match", [
+        (0.01, "euler", "integrator"),  # once read as exact ZOH
+        ("x", "rk4", "dt"),
+        (math.nan, "zoh", "dt"),
+    ], ids=["euler", "dt-text", "dt-nan"])
+    def test_step_matrices_refused(self, dt, integrator, match):
+        with pytest.raises(ConfigInvalid, match=match):
+            step_matrices([[-1.0]], [[1.0]], dt, integrator)
 
 
 class TestDeterminism:
@@ -217,8 +222,8 @@ class TestSynchronization:
         assert res.states.shape == (101, 3, 3)
         assert res.t.shape == (101,)
         assert res.sync_error.shape == (101,)
-        assert res.metadata["rho"] == 4.0
-        assert res.metadata["seed"] == 9
+        # the run's settings stay with its config; the result keeps no copy
+        assert not hasattr(res, "metadata")
 
 
 class TestRmsVsH2:
@@ -413,7 +418,7 @@ class TestKernelBitExact:
         Wn = np.stack([rng.standard_normal((steps, N)) for rng in rngs], axis=2)
         Wn = Wn * math.sqrt(1 / cfg.dt)
         acc_sync, acc_xbar = np.zeros(s), np.zeros(s)
-        tail_start = steps - math.ceil(steps * cfg.tail_fraction)
+        tail_start = steps - math.ceil(steps * 0.5)
         for k in range(steps):
             Z = M @ Z + K @ Wn[k]
             if k + 1 > tail_start:
@@ -493,7 +498,7 @@ class TestKernelBitExact:
         Wn = np.stack([rng.standard_normal((steps, K.shape[1])) for rng in rngs], axis=2)
         Wn = Wn * math.sqrt(1 / cfg.dt)
         acc_sync, acc_xbar = np.zeros(s), np.zeros(s)
-        tail_start = steps - math.ceil(steps * cfg.tail_fraction)
+        tail_start = steps - math.ceil(steps * 0.5)
         for k in range(steps):
             Z = M @ Z + K @ Wn[k]
             if k + 1 > tail_start:
