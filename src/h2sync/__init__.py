@@ -11,6 +11,7 @@ from .cases import (
 )
 from .closedloop import (
     ClosedLoop,
+    ModeData,
     assemble_p1,
     assemble_p2,
     assemble_stacked,
@@ -86,6 +87,7 @@ from .sim import (
     simulate,
     step_matrices,
     trajectory_blocks,
+    white_noise_rms,
 )
 
 __version__ = "0.1.0"

@@ -5,11 +5,13 @@ reproduce-case2.  Exit codes: 0 success, 1 solvability failure,
 2 input error (including unreadable files), 3 numerical failure or any
 other error.
 
-`simulate` and `reproduce-*` run their rho values in parallel, one
-forked worker per usable core up to the number of rho values (in process
-when that is one).  Output files, stdout and failures are those of the
-serial order: the first failure in rho order is reported, the runs
-before it keep their files and lines, and no later run leaves a file.
+`simulate` and `reproduce-*` realize every rho before any run starts,
+then pass the runs through one ordered map: the builtin `map` in
+process, or a pool's `map` over forked workers, one per usable core up
+to the number of rho values.  Output files, stdout and failures
+are those of the serial order: the first failure in rho order is
+reported, the runs before it keep their files and lines, and no later
+run leaves a file.
 """
 
 import argparse
@@ -136,15 +138,14 @@ def _load_graph(args):
 
 
 def _outdir(args):
+    """The --out directory, made if need be, with run_config.txt in it
+    recording every argument of the run."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_config(out, args):
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     text = "\n".join(f"{k}={v}" for k, v in resolved.items()) + "\n"
     (out / "run_config.txt").write_text(text)
+    return out
 
 
 def cmd_check(args):
@@ -152,7 +153,6 @@ def cmd_check(args):
     text = report.to_text()
     sys.stdout.write(text)
     out = _outdir(args)
-    _write_config(out, args)
     (out / "report.txt").write_text(text)
     report.require()
     return EXIT_OK
@@ -161,7 +161,6 @@ def cmd_check(args):
 def cmd_synth(args):
     des = design(_load_model(args), args.protocol)
     out = _outdir(args)
-    _write_config(out, args)
     for rho in args.rho:
         real = des.realize(rho, args.delta)
         path = out / f"protocol_{args.protocol}_rho{rho:g}.txt"
@@ -176,7 +175,6 @@ def cmd_analyze(args):
     rows = rho_scaling_probe(model, g, args.protocol, args.rho, delta=args.delta)
     csv = probe_to_csv(rows)
     out = _outdir(args)
-    _write_config(out, args)
     (out / "analysis.csv").write_text(csv)
     sys.stdout.write(csv)
     return EXIT_OK
@@ -190,9 +188,10 @@ def _trajectory_csv(t, states, sync):
     return row * len(block) % tuple(block.ravel().tolist())
 
 
-def _write_trajectory(cfg, path):
-    """Stream one run into a trajectory CSV block by block and return its
-    sync error; a run that fails leaves no file."""
+def _simulate_one(cfg, path):
+    """One rho's run, the same call in a worker or in process: stream its
+    trajectory CSV to `path` block by block and return the tail RMS of its
+    sync error.  A run that fails leaves no file."""
     N, n = cfg.graph.n_agents, cfg.model.n
     cols = [f"x_{i}[{k}]" for i in range(1, N + 1) for k in range(1, n + 1)]
     sync = []
@@ -206,13 +205,7 @@ def _write_trajectory(cfg, path):
     except BaseException:
         path.unlink(missing_ok=True)
         raise
-    return np.concatenate(sync)
-
-
-def _simulate_one(cfg, path):
-    """One rho's run, in a worker or in process: stream its trajectory CSV
-    to `path` and return the tail RMS of its sync error."""
-    return rms(_write_trajectory(cfg, path))
+    return rms(np.concatenate(sync))
 
 
 def _pool(runs):
@@ -236,53 +229,44 @@ def _pool(runs):
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
-def _pooled_result(pool, runs):
-    """The result of the first of `runs`, each (rho, realization, path,
-    future).  If it failed, the runs not yet started are cancelled, the
-    others awaited, and the files of all that started removed (a worker
-    killed mid-run cannot remove its own) before the failure is raised."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    rho, _, _, future = runs[0]
-    try:
-        return future.result()
-    except BaseException as exc:
-        pool.shutdown(cancel_futures=True)
-        for _, _, path, run in runs:
-            if not run.cancelled():
-                path.unlink(missing_ok=True)
-        if isinstance(exc, BrokenProcessPool):
-            raise H2SyncError(f"the run for rho={rho:g} was lost: {exc}") from None
-        raise
-
-
 def _run_simulations(des, g, rhos, delta, args, out, case_name):
-    """Simulate every rho, in forked workers when more than one core is
-    usable, and report the runs in rho order.  Output and failures are
-    those of a serial loop: the first failure in rho order is raised, the
-    runs before it are printed and keep their files, and no later run
-    leaves a file or a summary."""
+    """Realize every rho, then simulate the realized ones through one
+    ordered map, in process or in forked workers, and report them in rho
+    order.  Output and failures are those of a serial loop: the first
+    failure in rho order is raised, the runs before it are printed and
+    keep their files, and no later run leaves a file or a summary."""
+    cfgs, failure = [], None
+    try:
+        for rho in rhos:
+            cfgs.append(SimConfig(
+                model=des.model, graph=g, protocol=des.realize(rho, delta),
+                t_final=args.t_final, dt=args.dt, noise=args.noise,
+                seed=args.seed, integrator=args.integrator,
+            ))
+    except Exception as exc:  # raised once the runs before it are reported
+        failure = exc
+    paths = [out / f"trajectory_{case_name}_rho{rho:g}.csv" for rho in rhos[:len(cfgs)]]
     summary = ["case,rho,delta,seed,rms_sync_error"]
-    runs, failure = [], None
-    with _pool(len(rhos)) as pool:
-        try:
-            for rho in rhos:
-                real = des.realize(rho, delta)
-                cfg = SimConfig(
-                    model=des.model, graph=g, protocol=real,
-                    t_final=args.t_final, dt=args.dt, noise=args.noise,
-                    seed=args.seed, integrator=args.integrator,
-                )
-                traj = out / f"trajectory_{case_name}_rho{rho:g}.csv"
-                run = (cfg, traj) if pool is None else pool.submit(_simulate_one, cfg, traj)
-                runs.append((rho, real, traj, run))
-        except Exception as exc:  # raised once the runs before it are reported
-            failure = exc
-        for k, (rho, real, traj, run) in enumerate(runs):
-            rms_sync = _simulate_one(*run) if pool is None else _pooled_result(pool, runs[k:])
-            d = "" if real.delta is None else f"{real.delta:.10g}"
-            summary.append(f"{case_name},{rho:g},{d},{args.seed},{rms_sync:.10g}")
-            print(f"rho={rho:g}: rms_sync_error={rms_sync:.6g} -> {traj}")
+    try:
+        # a failed result makes the pool's map cancel the runs not yet
+        # started, and leaving the pool awaits the running ones
+        with _pool(len(cfgs)) as pool:
+            results = (map if pool is None else pool.map)(_simulate_one, cfgs, paths)
+            for rho, cfg, traj, rms_sync in zip(rhos, cfgs, paths, results):
+                d = "" if cfg.protocol.delta is None else f"{cfg.protocol.delta:.10g}"
+                summary.append(f"{case_name},{rho:g},{d},{args.seed},{rms_sync:.10g}")
+                print(f"rho={rho:g}: rms_sync_error={rms_sync:.6g} -> {traj}")
+    except BaseException as exc:
+        # the runs after the failed one may have finished in workers, and
+        # a worker killed mid-run cannot remove its own file
+        failed = len(summary) - 1
+        for traj in paths[failed:]:
+            traj.unlink(missing_ok=True)
+        from concurrent.futures.process import BrokenProcessPool
+
+        if isinstance(exc, BrokenProcessPool):
+            raise H2SyncError(f"the run for rho={rhos[failed]:g} was lost: {exc}") from None
+        raise
     if failure is not None:
         raise failure
     (out / "summary.csv").write_text("\n".join(summary) + "\n")
@@ -293,20 +277,21 @@ def cmd_simulate(args):
     model, g = _load_model(args), _load_graph(args)
     des = design(model, args.protocol, g)
     out = _outdir(args)
-    _write_config(out, args)
     return _run_simulations(des, g, args.rho, args.delta, args, out, "custom")
 
 
 def cmd_reproduce(args, which):
     g = cases.case1_graph() if which == 1 else cases.case2_graph()
     out = _outdir(args)
-    _write_config(out, args)
     return _run_simulations(design(cases.triple_integrator(), "p2", g), g, cases.CASE_RHOS,
                             cases.CASE_DELTA, args, out, f"case{which}")
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "delta", None) is not None and args.protocol == "p1":
+        parser.error("argument --delta: applies to --protocol p2 only")
     handlers = {
         "check": cmd_check,
         "synth": cmd_synth,

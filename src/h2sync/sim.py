@@ -90,13 +90,16 @@ def _check_time_grid(dt, t_final):
     """The step count round(t_final / dt) of a run; ConfigInvalid for a
     step or horizon no run can use."""
     _require_dt(dt)
-    if not (isinstance(t_final, numbers.Real) and math.isfinite(t_final)):
+    if not (isinstance(t_final, numbers.Real) and -math.inf < t_final < math.inf):
         raise ConfigInvalid(f"t_final must be a finite real number, got {t_final!r}")
     if t_final < 100 * dt:
         raise ConfigInvalid(
             f"t_final must be at least 100*dt = {100 * dt}, got {t_final}"
         )
-    return int(round(t_final / dt))
+    try:
+        return int(round(t_final / dt))
+    except OverflowError:
+        raise ConfigInvalid(f"t_final / dt overflows the step count: {t_final} / {dt}") from None
 
 
 @dataclass

@@ -418,12 +418,42 @@ class TestRhoOrder:
 
 
 class TestNonFiniteTime:
+    """A time grid no run can use is an input error: a step or horizon
+    that is not finite, or a step count t_final / dt that overflows (the
+    default t_final is 50 and the default dt 1e-3)."""
+
     @pytest.mark.parametrize("flag", ["--dt", "--t-final"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "5e-324", "1e308"])
     def test_exit_2(self, flag, value, tmp_path, capsys):
         code = main(["reproduce-case1", flag, value, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "analyze", "simulate"])
+def test_delta_refused_with_p1(command, ref_files, capsys):
+    # p1 has no delta: refused as a bad --rho list is, before any output
+    model, graph, tmp = ref_files
+    out = tmp / "o"
+    argv = [command, "--model", model, "--protocol", "p1", "--rho", "4",
+            "--delta", "0.0004", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv if command == "synth" else argv + ["--graph", graph])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--delta" in err.splitlines()[-1]
+    assert not out.exists()
+
+
+def test_import_loads_no_process_pool():
+    # the pool's modules load only when a run uses the pool
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    code = ("import sys, h2sync.cli; print([m for m in "
+            "('multiprocessing', 'concurrent.futures.process') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout == "[]\n"
 
 
 class TestNonFiniteSynthesisParameters:

@@ -388,14 +388,20 @@ class TestSeedsAndSignals:
         with pytest.raises(ConfigInvalid):
             _quietly(rms, signal)
 
-    @pytest.mark.parametrize("run", [
-        lambda cfg: dataclasses.replace(cfg, dt="0.001"),
-        lambda cfg: dataclasses.replace(cfg, t_final=None),
-        lambda cfg: white_noise_rms(-1.0, 1.0, 1.0, 1e-3, "1", [0]),
-    ], ids=["SimConfig-dt-text", "SimConfig-t_final-None", "white_noise_rms-t_final-text"])
-    def test_time_grid_not_a_number(self, run):
+    @pytest.mark.parametrize("run, match", [
+        (lambda cfg: dataclasses.replace(cfg, dt="0.001"), "real number"),
+        (lambda cfg: dataclasses.replace(cfg, t_final=None), "real number"),
+        (lambda cfg: white_noise_rms(-1.0, 1.0, 1.0, 1e-3, "1", [0]), "real number"),
+        # a step count t_final / dt too large for a float
+        (lambda cfg: dataclasses.replace(cfg, t_final=1e308), "overflows"),
+        (lambda cfg: dataclasses.replace(cfg, t_final=10 ** 400), "overflows"),
+        (lambda cfg: white_noise_rms(-1, 1, 1, 5e-324, 1.0, [1]), "overflows"),
+    ], ids=["SimConfig-dt-text", "SimConfig-t_final-None", "white_noise_rms-t_final-text",
+            "SimConfig-t_final-overflow", "SimConfig-t_final-huge-int",
+            "white_noise_rms-dt-overflow"])
+    def test_time_grid_not_a_number(self, run, match):
         cfg = self.config()
-        with pytest.raises(ConfigInvalid, match="real number"):
+        with pytest.raises(ConfigInvalid, match=match):
             _quietly(run, cfg)
 
 
