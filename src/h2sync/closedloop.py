@@ -21,9 +21,10 @@ function as well as through the H2 norm.
 I (x) D - rho Lbar (x) S, one block D of size d (2n for p1, 3n for p2)
 per agent, coupled through the graph on the e block only (S selects
 it).  The dense Lyapunov solve on A_cl and the stacked assembly stay the
-reference paths; a dense `ClosedLoop` (a reduced stacked loop, a
-hand-built loop) goes through the dense solve.  Both paths take their
-Hurwitz-margin and Lyapunov-residual decisions from `linalg`
+reference paths.  A `ClosedLoop` is only its dense triple; `error_h2`
+solves any one densely, so the Hurwitz gate, not a tag, refuses a raw
+stacked loop (marginal along the synchronized motion).  Both paths take
+their Hurwitz-margin and Lyapunov-residual decisions from `linalg`
 (`require_hurwitz`, `require_lyapunov_residual`).
 """
 
@@ -35,7 +36,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .conditions import AgentModel
-from .errors import DimensionMismatch, NotHurwitz, RhoOutOfRange
+from .errors import DimensionMismatch, RhoOutOfRange
 from .graph import CommGraph, LaplacianPair, laplacian
 from .linalg import _as_matrix, h2_norm, require_rho
 from .modal import modal_h2
@@ -70,7 +71,8 @@ class ModeData:
     (N-1) x N) and E the matching agent-side blocks (each d x w).
     A_cl, B_cl and C_cl read the dense triple afresh each time; the
     loop never keeps it, so it stays the size of its blocks.  The arrays
-    must be finite, real and of these shapes, checked when it is built.
+    must be finite, real and of these shapes, n, coupled and output
+    integers and rho a finite real number, checked when it is built.
     """
 
     D: np.ndarray
@@ -83,6 +85,11 @@ class ModeData:
     E: np.ndarray
 
     def __post_init__(self):
+        ints = (self.n, self.coupled, self.output)
+        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in ints):
+            raise DimensionMismatch(f"n, coupled and output must be integers, got {ints!r}")
+        if not (isinstance(self.rho, numbers.Real) and -np.inf < self.rho < np.inf):
+            raise DimensionMismatch(f"rho must be a finite real number, got {self.rho!r}")
         self.D, self.L_reduced = _as_matrix(self.D, "D"), _as_matrix(self.L_reduced, "L_reduced")
         self.M, self.E = _as_matrix(self.M, "M", ndim=3), _as_matrix(self.E, "E", ndim=3)
         b = self.D.shape[0] // self.n if self.n >= 1 else 0
@@ -135,20 +142,15 @@ class ModeData:
 
 @dataclass
 class ClosedLoop:
-    """A dense state-space map from stacked disturbances to
-    synchronization errors.
-
-    coordinates is "error-form" (difference coordinates, Hurwitz when
-    the design conditions hold) or "stacked-form" (raw network,
-    marginally stable along the synchronized motion).  The error-form
-    assemblers return `ModeData` instead.
+    """A dense state-space map (A_cl, B_cl, C_cl) from stacked
+    disturbances to synchronization errors, and nothing else: the raw
+    stacked network or its reduction.  The error-form assemblers return
+    `ModeData` instead.
     """
 
     A_cl: np.ndarray
     B_cl: np.ndarray
     C_cl: np.ndarray
-    n_agents: int
-    coordinates: str
 
 
 def _check_dims(model: AgentModel, real: ProtocolRealization, kind: str):
@@ -224,33 +226,34 @@ def assemble_stacked(model: AgentModel, real: ProtocolRealization, g: CommGraph)
         np.kron(lp.Pi, np.eye(n)),
         np.zeros(((N - 1) * n, N * nc)),
     ])
-    return ClosedLoop(A_cl, B_cl, C_cl, N, "stacked-form")
+    return ClosedLoop(A_cl, B_cl, C_cl)
 
 
 def reduce_to_differences(cl: ClosedLoop, model: AgentModel,
                           real: ProtocolRealization):
-    """Similarity-transform a stacked-form loop to difference coordinates
+    """Similarity-transform a raw stacked loop to difference coordinates
     and drop the synchronized (marginal) motion.
 
     With S = [[Pi], [e_N^T]] applied blockwise, the difference states
     (x_i - x_N, x_ci - x_cN) close on themselves; the retained
     subsystem realizes the same disturbance-to-xbar map and is Hurwitz
-    when the design conditions hold.  DimensionMismatch unless `cl` is a
-    stacked-form loop of an integer n_agents >= 2 whose A_cl, B_cl and
-    C_cl have the shapes `assemble_stacked` gives (model, real).
+    when the design conditions hold.  N is read off A_cl, as its rows
+    over n + n_c.  DimensionMismatch unless `cl` is a `ClosedLoop` of a
+    whole N >= 2 agents whose A_cl, B_cl and C_cl have the shapes
+    `assemble_stacked` gives (model, real), or if its difference states
+    do not close on themselves.
     """
-    if not isinstance(cl, ClosedLoop) or cl.coordinates != "stacked-form":
-        raise DimensionMismatch("reduce_to_differences expects a stacked-form loop")
-    N = cl.n_agents
-    if not isinstance(N, numbers.Integral) or N < 2:
-        raise DimensionMismatch(f"n_agents must be an integer >= 2, got {N!r}")
+    if not isinstance(cl, ClosedLoop):
+        raise DimensionMismatch("reduce_to_differences expects a stacked ClosedLoop")
     real.require_fits(model)
     n, nc = model.n, real.controller_state_dim
+    N = (np.shape(cl.A_cl) or (0,))[0] // (n + nc)
     d = N * (n + nc)
     for name, shape in (("A_cl", (d, d)), ("B_cl", (d, N * model.w)), ("C_cl", ((N - 1) * n, d))):
         got = np.shape(getattr(cl, name))
-        if got != shape:
-            raise DimensionMismatch(f"{name} must have shape {shape} for {N} agents, got {got}")
+        if N < 2 or got != shape:
+            raise DimensionMismatch(f"{name} of shape {got} is not that of a stacked loop of "
+                                    f"N >= 2 agents of {n} + {nc} states")
     S = np.vstack([np.hstack([np.eye(N - 1), -np.ones((N - 1, 1))]),
                    np.eye(N)[N - 1 :]])
     T = sla.block_diag(np.kron(S, np.eye(n)), np.kron(S, np.eye(nc)))
@@ -274,23 +277,19 @@ def reduce_to_differences(cl: ClosedLoop, model: AgentModel,
     A_red = A_t[np.ix_(keep, keep)]
     B_red = B_t[keep]
     C_red = C_t[:, keep]
-    return ClosedLoop(A_red, B_red, C_red, N, "error-form")
+    return ClosedLoop(A_red, B_red, C_red)
 
 
 def error_h2(cl: ModeData | ClosedLoop):
     """H2 norm of the disturbance-to-xbar map; requires A_cl Hurwitz.
 
-    A `ModeData` is solved per graph mode (see `modal_h2`); a dense
-    `ClosedLoop` by a Lyapunov solve on A_cl.  Stacked-form loops are
-    only marginally stable and are refused up front.
+    A `ModeData` is solved per graph mode (see `modal_h2`); a
+    `ClosedLoop` by a Lyapunov solve on A_cl, whose Hurwitz gate refuses
+    a raw stacked loop of marginal agents with NotHurwitz (reduce it
+    with `reduce_to_differences` first).
     """
     if isinstance(cl, ModeData):
         return modal_h2(cl)[0]
-    if cl.coordinates == "stacked-form":
-        raise NotHurwitz(
-            "a stacked-form loop is marginally stable along the synchronized "
-            "motion; use reduce_to_differences first"
-        )
     return h2_norm(cl.A_cl, cl.B_cl, cl.C_cl)
 
 

@@ -6,7 +6,7 @@ text file format (see `parse_graph`) is 1-based.
 """
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -63,10 +63,6 @@ class LaplacianPair:
     L: np.ndarray
     L_reduced: np.ndarray
     Pi: np.ndarray
-    n_agents: int = field(init=False)
-
-    def __post_init__(self):
-        self.n_agents = self.L.shape[0]
 
 
 def laplacian(g: CommGraph) -> LaplacianPair:

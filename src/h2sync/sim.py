@@ -23,7 +23,9 @@ O(block + steps) memory; the Monte-Carlo helpers reduce each block to
 square sums and add them to a running sum with np.add.accumulate, one
 step at a time, so that no result depends on where blocks end.
 `simulate` refuses a run whose trajectory would pass
-_SIMULATE_MAX_BYTES; such runs stream.
+_SIMULATE_MAX_BYTES; such runs stream.  A `SimConfig` whose series of
+sync errors alone, 8 bytes a step, would pass it is refused when it is
+made.
 
 Every RMS here averages the second half of its run, the last ceil(T/2)
 of T samples: of t_0, ..., t_steps for `simulate` and the CLI's
@@ -115,7 +117,10 @@ class SimConfig:
     integrator: str = "rk4"
 
     def __post_init__(self):
-        _check_time_grid(self.dt, self.t_final)
+        steps = _check_time_grid(self.dt, self.t_final)
+        if 8 * (steps + 1) > _SIMULATE_MAX_BYTES:
+            raise ConfigInvalid(f"t_final / dt = {steps} steps would keep {8 * (steps + 1)} "
+                                f"bytes of sync error (cap {_SIMULATE_MAX_BYTES})")
         self.protocol.require_fits(self.model)
         if self.noise not in ("off", "white"):
             raise ConfigInvalid(f"noise must be 'off' or 'white', got {self.noise!r}")

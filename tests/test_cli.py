@@ -419,11 +419,12 @@ class TestRhoOrder:
 
 class TestNonFiniteTime:
     """A time grid no run can use is an input error: a step or horizon
-    that is not finite, or a step count t_final / dt that overflows (the
-    default t_final is 50 and the default dt 1e-3)."""
+    that is not finite, or a step count t_final / dt that overflows or
+    whose sync errors would not fit in memory (the default t_final is 50
+    and the default dt 1e-3)."""
 
     @pytest.mark.parametrize("flag", ["--dt", "--t-final"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "5e-324", "1e308"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "5e-324", "1e308", "1e-300", "1e300"])
     def test_exit_2(self, flag, value, tmp_path, capsys):
         code = main(["reproduce-case1", flag, value, "--out", str(tmp_path / "o")])
         assert code == 2

@@ -30,7 +30,7 @@ from h2sync.closedloop import (
 )
 from h2sync.conditions import AgentModel
 from h2sync.errors import DimensionMismatch, NotHurwitz, PreconditionFailed
-from h2sync.graph import CommGraph, laplacian
+from h2sync.graph import CommGraph, LaplacianPair, laplacian
 from h2sync.linalg import h2_norm, hinf_norm, is_hurwitz, spectral_abscissa
 from h2sync.protocol import design, synthesize_p1, synthesize_p2
 
@@ -49,7 +49,7 @@ def two_agent_chain():
 
 def dense_only(md: ModeData) -> ClosedLoop:
     """The same loop as a dense ClosedLoop, so error_h2 takes the dense path."""
-    return ClosedLoop(*md.dense(), md.n_agents, "error-form")
+    return ClosedLoop(*md.dense())
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +213,7 @@ class TestStackedCrossCheck:
         raw = assemble_stacked(m, real, two_agent_chain())
         A = raw.A_cl.copy()
         A[0, 0] -= 0.3  # absolute feedback on agent 1 only
-        leaky = ClosedLoop(A, raw.B_cl, raw.C_cl, raw.n_agents, raw.coordinates)
+        leaky = ClosedLoop(A, raw.B_cl, raw.C_cl)
         with pytest.raises(DimensionMismatch):
             reduce_to_differences(leaky, m, real)
 
@@ -295,8 +295,11 @@ class TestOneRepresentation:
 
     def test_closed_loop_holds_only_the_dense_triple(self):
         fields = [f.name for f in dataclasses.fields(ClosedLoop)]
-        assert fields == ["A_cl", "B_cl", "C_cl", "n_agents", "coordinates"]
+        assert fields == ["A_cl", "B_cl", "C_cl"]
         assert "__getattr__" not in vars(ClosedLoop)
+
+    def test_laplacian_pair_holds_only_its_matrices(self):
+        assert [f.name for f in dataclasses.fields(LaplacianPair)] == ["L", "L_reduced", "Pi"]
 
     def test_assemblers_return_mode_data(self, designs):
         lp = laplacian(case1_graph())
@@ -309,15 +312,27 @@ class TestOneRepresentation:
         model, real, assemble = designs[1]
         md = assemble(model, real, laplacian(case1_graph()))
         with pytest.raises(TypeError):
-            ClosedLoop(md.A_cl, 2 * md.B_cl, md.C_cl, 3, "error-form", md)
+            ClosedLoop(md.A_cl, 2 * md.B_cl, md.C_cl, md)
 
 
 class TestErrorH2:
     def test_stacked_form_refused(self, designs):
+        # marginal along the synchronized motion: the dense Hurwitz gate refuses it
         model, real, _ = designs[1]
         raw = assemble_stacked(model, real, case1_graph())
-        with pytest.raises(NotHurwitz, match="reduce_to_differences"):
+        with pytest.raises(NotHurwitz, match="not Hurwitz"):
             error_h2(raw)
+
+    @pytest.mark.parametrize("graph", ["case1", "case2", "random3"])
+    def test_stacked_loop_of_hurwitz_agents(self, graph):
+        # with A = -1 the synchronized motion decays, so the raw stacked
+        # loop is Hurwitz and has the H2 of its reduction and of its modes
+        m = AgentModel.full_state([[-1.0]], [[1.0]], [[1.0]])
+        real, g = synthesize_p1(m, 2.0), oracle_graph(graph)
+        raw = assemble_stacked(m, real, g)
+        h2 = error_h2(assemble_p1(m, real, laplacian(g)))
+        for loop in (raw, reduce_to_differences(raw, m, real)):
+            assert error_h2(loop) == pytest.approx(h2, rel=1e-8)
 
     def test_zero_disturbance(self):
         m = AgentModel.full_state(

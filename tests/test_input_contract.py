@@ -27,6 +27,7 @@ from h2sync.cases import (
 )
 from h2sync.cli import main
 from h2sync.closedloop import (
+    ClosedLoop,
     assemble_p1,
     assemble_p2,
     assemble_stacked,
@@ -251,17 +252,21 @@ class TestRhoAndDelta:
 
 
 class TestReduceToDifferences:
-    """`reduce_to_differences` refuses a stacked-form loop that does not
-    fit its model and realization, or whose agent count is not an
-    integer >= 2, before it builds the transform."""
+    """`reduce_to_differences` refuses a loop whose matrices are not
+    those of a stacked loop of a whole N >= 2 agents for its model and
+    realization, before it builds the transform."""
 
     FULL = triple_integrator_full_state()
     P1 = synthesize_p1(FULL, 2.0)
     LOOP = assemble_stacked(FULL, P1, case1_graph())  # N = 3, n = n_c = 3, w = 1
     ROWS = {
-        "n_agents-not-integer": (dataclasses.replace(LOOP, n_agents=3.5), FULL, P1),
-        "n_agents-other": (dataclasses.replace(LOOP, n_agents=2), FULL, P1),
-        "n_agents-one": (dataclasses.replace(LOOP, n_agents=1), FULL, P1),
+        "states-not-whole-agents": (ClosedLoop(LOOP.A_cl[:-1, :-1], LOOP.B_cl[:-1],
+                                               LOOP.C_cl[:, :-1]), FULL, P1),
+        # the assemble_stacked shapes of N = 1: n + n_c = 6 states, w = 1, no output
+        "one-agent": (ClosedLoop(LOOP.A_cl[:6, :6], LOOP.B_cl[:6, :1], LOOP.C_cl[:0, :6]),
+                      FULL, P1),
+        "error-form": (ClosedLoop(*assemble_p1(FULL, P1, laplacian(case1_graph())).dense()),
+                       FULL, P1),
         "A_cl-not-square": (dataclasses.replace(LOOP, A_cl=LOOP.A_cl[:, :-1]), FULL, P1),
         "B_cl-rows": (dataclasses.replace(LOOP, B_cl=LOOP.B_cl[:-1]), FULL, P1),
         "C_cl-columns": (dataclasses.replace(LOOP, C_cl=LOOP.C_cl[:, :-1]), FULL, P1),
@@ -303,14 +308,23 @@ def _mode_rows(md):
     yield "E-2d", "E", md.E[0]
     yield "coupled-out-of-range", "coupled", 3
     yield "n-zero", "n", 0
+    yield "n-float", "n", 1.5
+    yield "n-text", "n", "3"
+    yield "n-bool", "n", True
+    yield "coupled-float", "coupled", 1.0
+    yield "output-text", "output", "0"
+    yield "rho-text", "rho", "4"
+    yield "rho-nan", "rho", np.nan
+    yield "rho-inf", "rho", np.inf
 
 
 MODE_ROWS = list(_mode_rows(MODES))
 
 
 class TestModeData:
-    """A `ModeData` with non-finite, complex or misshapen arrays is
-    refused when it is built, so `error_h2` never sees it."""
+    """A `ModeData` with non-finite, complex or misshapen arrays, block
+    indices that are not integers or a rho that is not a finite real
+    number is refused when it is built, so `error_h2` never sees it."""
 
     @pytest.mark.parametrize("field, bad", [r[1:] for r in MODE_ROWS],
                              ids=[r[0] for r in MODE_ROWS])
@@ -396,9 +410,13 @@ class TestSeedsAndSignals:
         (lambda cfg: dataclasses.replace(cfg, t_final=1e308), "overflows"),
         (lambda cfg: dataclasses.replace(cfg, t_final=10 ** 400), "overflows"),
         (lambda cfg: white_noise_rms(-1, 1, 1, 5e-324, 1.0, [1]), "overflows"),
+        # a step count whose sync errors alone, 8 bytes a step, pass the memory cap
+        (lambda cfg: dataclasses.replace(cfg, t_final=1e300), "bytes of sync error"),
+        (lambda cfg: dataclasses.replace(cfg, dt=1e-300), "bytes of sync error"),
     ], ids=["SimConfig-dt-text", "SimConfig-t_final-None", "white_noise_rms-t_final-text",
             "SimConfig-t_final-overflow", "SimConfig-t_final-huge-int",
-            "white_noise_rms-dt-overflow"])
+            "white_noise_rms-dt-overflow", "SimConfig-t_final-too-long",
+            "SimConfig-dt-too-fine"])
     def test_time_grid_not_a_number(self, run, match):
         cfg = self.config()
         with pytest.raises(ConfigInvalid, match=match):
