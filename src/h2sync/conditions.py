@@ -53,9 +53,10 @@ __all__ = [
 # must be reproducible run to run
 _RANK_PROBE_SEED = 1729
 
-# distinct keys each per-model memo keeps (`_model_conditions` here,
-# `protocol._care_solution`); agent models are small, so an entry costs
-# a few of its n x n matrices
+# distinct keys each synthesis memo keeps (`_model_conditions` here,
+# `protocol._care_solution` and `protocol._filter_solution`); agent
+# models are small, so an entry costs a few of its n x n matrices, and
+# the filter memo's keys are (model, rho, delta): 16 hold a 13-rho grid
 _MEMO_SIZE = 16
 
 
@@ -322,8 +323,8 @@ def _coupling(model, kind):
 
 
 def _memo_key(*mats):
-    """Key of a per-model memo: the thresholds in force and the shape and
-    bytes of each (gated, so float) matrix."""
+    """Key of a model in a synthesis memo: the thresholds in force and the
+    shape and bytes of each (gated, so float) matrix."""
     return (tolerances.DEFAULT,) + tuple((M.shape, M.tobytes()) for M in mats)
 
 

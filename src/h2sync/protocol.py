@@ -8,11 +8,15 @@ conditions of protocol `kind` (`full_report(model, g, kind)`: p1 needs
 C = I) and solves the control CARE for P, which does not depend on rho;
 per rho, `ProtocolDesign.realize` solves the Protocol 2 filter Riccati
 equation and searches delta.  `synthesize_p1` and `synthesize_p2` run
-both steps for one rho.  Both per-model results are remembered: the
-report's model half by `full_report`, and P keyed like it on the
-thresholds in force and the bytes of (A, B), so designing the same
-model again (for another rho, kind or graph) solves no CARE.  A failed
-solve is not remembered, and each design gets its own copy of P.
+both steps for one rho.  All three results are remembered, each in a
+bounded memo keyed on the thresholds in force and the bytes of the
+gated model matrices it reads: the report's model half by
+`full_report`, P by (A, B), and the filter solution (delta, Q) by
+(A, C, E), rho and the given delta (None for the search).  So designing
+the same model again (for another rho, kind or graph) solves no CARE,
+and realizing the same (model, rho, delta) again solves no filter
+Riccati.  A failed solve or search is not remembered, and each design
+and realization gets its own copy of P and Q.
 
 Protocol 1 (full-state coupling): controller state chi with
     dchi = A chi + B u + rho*zeta - rho*zetahat,   u = -rho B^T P chi
@@ -132,31 +136,46 @@ class ProtocolDesign:
     def realize(self, rho: float, delta: Optional[float] = None):
         """The realization for one rho.  For p2, `delta` fixes the
         low-gain parameter and None takes the largest of 1, 1/2, 1/4, ...
-        whose filter Riccati passes; p1 has no delta and ignores it."""
+        whose filter Riccati passes; p1 has no delta and ignores it.
+        rho and a given delta are checked before the memo lookup (see
+        `_filter_solution`) and solved as the floats the realization
+        stores; a refusal is DeltaSearchExhausted, on every call."""
         require_rho(rho)
+        rho = float(rho)
         if self.kind == "p1":
-            return ProtocolRealization(kind="p1", rho=float(rho), P=self.P)
-        m = self.model
-        diagnostics = []
-        for d in _HALVING if delta is None else (delta,):
-            try:
-                Q = solve_filter_riccati(m.A, m.E, m.C, rho, d).solution
-            except (NoStabilizingSolution, NotPositiveDefinite) as exc:
-                diagnostics.append((d, str(exc)))
-            else:
-                return ProtocolRealization("p2", float(rho), self.P, float(d), Q)
-        raise DeltaSearchExhausted(
-            f"no feasible delta found down to {DELTA_SEARCH_FLOOR} for rho={rho}"
-            if delta is None else
-            f"filter Riccati failed at the given delta={delta}: {diagnostics[0][1]}",
-            diagnostics=diagnostics,
-        )
+            return ProtocolRealization(kind="p1", rho=rho, P=self.P)
+        if delta is not None:
+            require_delta(delta)
+            delta = float(delta)
+        A, _, C, E = _matrices(self.model)
+        d, Q = _filter_solution(_memo_key(A, C, E), rho, delta)
+        return ProtocolRealization("p2", rho, self.P, d, Q.copy())
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _care_solution(key):
     """P of the control CARE for the (A, B) in `key` (see `design`)."""
     return solve_care_standard(*_from_key(key)).solution
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _filter_solution(key, rho, delta):
+    """(delta, Q) of the filter Riccati for the (A, C, E) in `key` at
+    `rho`: at the given delta, or for None at the first of 1, 1/2,
+    1/4, ... that passes (see `ProtocolDesign.realize`)."""
+    A, C, E = _from_key(key)
+    diagnostics = []
+    for d in _HALVING if delta is None else (delta,):
+        try:
+            return d, solve_filter_riccati(A, E, C, rho, d).solution
+        except (NoStabilizingSolution, NotPositiveDefinite) as exc:
+            diagnostics.append((d, str(exc)))
+    raise DeltaSearchExhausted(
+        f"no feasible delta found down to {DELTA_SEARCH_FLOOR} for rho={rho}"
+        if delta is None else
+        f"filter Riccati failed at the given delta={delta}: {diagnostics[0][1]}",
+        diagnostics=diagnostics,
+    )
 
 
 def design(model: AgentModel, kind: str, g: Optional[CommGraph] = None) -> ProtocolDesign:

@@ -409,16 +409,23 @@ def monte_carlo_rms(cfg: SimConfig, seeds):
     """
     if cfg.noise != "white":
         raise ConfigInvalid("monte_carlo_rms requires noise='white'")
+    return tuple(_seed_tail_rms(
+        cfg, seeds, lambda X: np.stack([_max_pair_sq(X), _xbar_sq(X)], axis=1)))
+
+
+def _xbar_sq(X):
+    """X (T, N, n, s) -> per-step ||xbar||^2, xbar = (x_i - x_N)_{i < N}."""
+    xb = X[:, :-1] - X[:, -1:]
+    return (xb**2).sum(axis=(1, 2))
+
+
+def _seed_tail_rms(cfg, seeds, square_sum):
+    """`_tail_rms` of the batched white-noise runs of `seeds`, with
+    square_sum mapping agent states (T, N, n, seeds) to squared values."""
     M, K, Z, rngs = _start(cfg, seeds)
     N, n, s = cfg.graph.n_agents, cfg.model.n, len(seeds)
-
-    def square_sums(blk):
-        X = blk.reshape(-1, N, n, s)
-        xb = X[:, : N - 1] - X[:, N - 1 : N]
-        return np.stack([_max_pair_sq(X), (xb**2).sum(axis=(1, 2))], axis=1)
-
     blocks = _propagate(M, K, Z, cfg.steps, cfg.dt, rngs, keep=N * n)
-    return tuple(_tail_rms(blocks, cfg.steps, square_sums))
+    return _tail_rms(blocks, cfg.steps, lambda blk: square_sum(blk.reshape(-1, N, n, s)))
 
 
 def white_noise_rms(A, B, C, dt, t_final, seeds):
@@ -452,7 +459,7 @@ def rms_vs_h2_consistency(cfg: SimConfig, n_seeds: int) -> ConsistencyResult:
     predicted = error_h2(assemble(cfg.model, cfg.protocol, laplacian(cfg.graph)))
 
     seeds = [cfg.seed + i for i in range(n_seeds)]
-    _, rms_xbar = monte_carlo_rms(cfg, seeds)
+    rms_xbar = _seed_tail_rms(cfg, seeds, _xbar_sq)
     empirical = float(np.sqrt(math.fsum(rms_xbar**2) / n_seeds))
     ratio = None if predicted == 0.0 else empirical / predicted
     return ConsistencyResult(empirical, predicted, ratio, rms_xbar)

@@ -3,9 +3,10 @@
 Every threshold is relative to problem scale; the factors (1 + ||A||_2)
 etc. are applied at the point of use.  Solvers, checks and norms read
 `tolerances.DEFAULT.<field>` when called; to try other values, replace
-`tolerances.DEFAULT` (e.g. with `dataclasses.replace`).  The per-model
-memos of `conditions.full_report` and `protocol.design` key on the
-record in force, so a replaced `DEFAULT` takes effect on the next call.
+`tolerances.DEFAULT` (e.g. with `dataclasses.replace`).  The synthesis
+memos of `conditions.full_report`, `protocol.design` and
+`protocol.ProtocolDesign.realize` key on the record in force, so a
+replaced `DEFAULT` takes effect on the next call.
 """
 
 from dataclasses import dataclass

@@ -37,9 +37,11 @@ def defect_a_model():
 
 
 def clear_synthesis_memos():
-    """Empty the per-model memos of `full_report` and `design`, so the
-    next call on any model computes its conditions and its CARE."""
+    """Empty the synthesis memos of `full_report`, `design` and
+    `ProtocolDesign.realize`, so the next call on any model computes its
+    conditions, its CARE and its filter Riccati."""
     from h2sync import conditions, protocol
 
     conditions._model_conditions.cache_clear()
     protocol._care_solution.cache_clear()
+    protocol._filter_solution.cache_clear()

@@ -65,6 +65,7 @@ from h2sync.linalg import (
 from h2sync.protocol import (
     ProtocolRealization,
     controller_matrices,
+    design,
     synthesize_p1,
     synthesize_p2,
 )
@@ -236,6 +237,20 @@ class TestRhoAndDelta:
         "realization-delta-text": (lambda m: ProtocolRealization("p2", 2.0, np.eye(2), "0.1",
                                                                  np.eye(2)),
                                    DimensionMismatch),
+        # a delta that is no real number is refused before the memo
+        # lookup, where the unhashable ones would raise a bare TypeError
+        "synthesize_p2-delta-list": (lambda m: synthesize_p2(m, 4.0, delta_hint=[0.1]),
+                                     DimensionMismatch),
+        "synthesize_p2-delta-0d-array": (lambda m: synthesize_p2(m, 4.0,
+                                                                 delta_hint=np.array(0.1)),
+                                         DimensionMismatch),
+        "synthesize_p2-delta-dict": (lambda m: synthesize_p2(m, 4.0, delta_hint={}),
+                                     DimensionMismatch),
+        "realize-delta-list": (lambda m: design(m, "p2").realize(4.0, [0.1]),
+                               DimensionMismatch),
+        "realize-delta-0d-array": (lambda m: design(m, "p2").realize(4.0, np.array(0.1)),
+                                   DimensionMismatch),
+        "realize-delta-dict": (lambda m: design(m, "p2").realize(4.0, {}), DimensionMismatch),
         "probe-rho-text": (lambda m: rho_scaling_probe(m, case1_graph(), "p2", ["4"]),
                            RhoOutOfRange),
         "probe-rho-mixed": (lambda m: rho_scaling_probe(m, case1_graph(), "p2", [4.0, "4"]),

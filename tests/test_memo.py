@@ -1,15 +1,16 @@
-"""The per-model half of synthesis is computed once per model: the
-model-only solvability conditions of `full_report` and the control CARE
-of `design` are remembered.  A remembered result must look exactly like
-a fresh one, apart from the time it takes, so every case here runs on a
-cleared memo and again on a warm one."""
+"""Synthesis is computed once per model and once per (model, rho,
+delta): the model-only solvability conditions of `full_report`, the
+control CARE of `design` and the filter Riccati of
+`ProtocolDesign.realize` are remembered.  A remembered result must look
+exactly like a fresh one, apart from the time it takes, so every case
+here runs on a cleared memo and again on a warm one."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from conftest import clear_synthesis_memos
+from conftest import clear_synthesis_memos, defect_a_model
 
 from h2sync import conditions, protocol, tolerances
 from h2sync.cases import (
@@ -19,11 +20,11 @@ from h2sync.cases import (
     triple_integrator_full_state,
 )
 from h2sync.conditions import AgentModel, full_report
-from h2sync.errors import NoStabilizingSolution, PreconditionFailed
-from h2sync.linalg import solve_care_standard
-from h2sync.protocol import design, synthesize_p1, synthesize_p2
+from h2sync.errors import DeltaSearchExhausted, NoStabilizingSolution, PreconditionFailed
+from h2sync.linalg import solve_care_standard, solve_filter_riccati
+from h2sync.protocol import design, realization_to_text, synthesize_p1, synthesize_p2
 
-MEMOS = (conditions._model_conditions, protocol._care_solution)
+MEMOS = (conditions._model_conditions, protocol._care_solution, protocol._filter_solution)
 DESIGN_RHOS = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0, 24.0, 32.0)
 
 
@@ -55,13 +56,15 @@ CASES = {
 
 @pytest.fixture(params=["cleared", "warm"])
 def memo(request):
-    """Clear the memos; for "warm", fill them first with other models,
-    so a test's own first call is a miss in a memo that is not empty."""
+    """Clear the memos; for "warm", fill them first with other models and
+    rho, so a test's own first call is a miss in a memo that is not empty."""
     clear_synthesis_memos()
     if request.param == "warm":
         for case in ("reference-p2", "full-state-p1", "fails-c-p2"):
             make, kind = CASES[case]
             outcome(make(), kind)
+        synthesize_p2(triple_integrator(), 2.5)
+        synthesize_p2(triple_integrator_full_state(), 2.5, 0.01)
     return request.param
 
 
@@ -172,12 +175,94 @@ def test_care_failure_is_not_remembered(memo, monkeypatch):
     assert P.tobytes() == solve_care_standard(model.A, model.B).solution.tobytes()
 
 
+def realized(model, rho, delta=None):
+    """Everything a caller sees of one p2 realization: delta, the bytes
+    of Q and the text, or the refusal's message and diagnostics."""
+    try:
+        real = design(model, "p2").realize(rho, delta)
+    except DeltaSearchExhausted as exc:
+        return str(exc), exc.diagnostics
+    return real.delta, real.Q_rho.tobytes(), realization_to_text(real)
+
+
+REALIZE_CASES = {
+    "reference": triple_integrator,
+    "full-state": triple_integrator_full_state,
+    "lhp-zero": lhp_zero_model,
+}
+
+
+@pytest.mark.parametrize("rho", [1.0, 4.0, 32.0])
+@pytest.mark.parametrize("case", REALIZE_CASES)
+def test_warm_realization_equals_cold(case, rho, memo):
+    make = REALIZE_CASES[case]
+    searched = realized(make(), rho)
+    given_delta = searched[0] / 3  # feasible, and off the halving sequence
+    given = realized(make(), rho, given_delta)
+    hits = protocol._filter_solution.cache_info().hits
+    assert realized(make(), rho) == searched
+    assert realized(make(), rho, given_delta) == given
+    assert protocol._filter_solution.cache_info().hits == hits + 2
+    m = make()
+    for delta, Q in (searched[:2], given[:2]):
+        assert Q == solve_filter_riccati(m.A, m.E, m.C, rho, delta).solution.tobytes()
+
+
+@pytest.mark.parametrize("make, delta", [(defect_a_model, None), (triple_integrator, 0.5)],
+                         ids=["search", "given"])
+def test_refusal_is_raised_afresh_on_every_call(make, delta, memo):
+    misses = protocol._filter_solution.cache_info().misses
+    refusals = [realized(make(), 4.0, delta) for _ in range(3)]
+    assert protocol._filter_solution.cache_info().misses == misses + 3
+    message, diagnostics = refusals[0]
+    assert refusals == [(message, diagnostics)] * 3
+    assert len(diagnostics) == (40 if delta is None else 1)
+
+
+def test_replaced_thresholds_reach_a_warm_filter_memo(memo, monkeypatch):
+    model = triple_integrator()
+    before = realized(model, 4.0)
+    assert realized(model, 4.0) == before and before[0] == 2.0**-8
+    default = tolerances.DEFAULT
+    # a residual cap far below rounding refuses the larger deltas
+    monkeypatch.setattr(tolerances, "DEFAULT",
+                        dataclasses.replace(default, filter_residual=1e-18))
+    replaced = realized(model, 4.0)
+    assert replaced != before
+    clear_synthesis_memos()
+    assert realized(model, 4.0) == replaced
+    monkeypatch.setattr(tolerances, "DEFAULT", default)
+    assert realized(model, 4.0) == before
+
+
+@pytest.mark.parametrize("field", ["C", "E"])
+def test_in_place_edit_of_C_or_E_shows_in_the_realization(field, memo):
+    model = triple_integrator()
+    before = design(model, "p2").realize(4.0)
+    if field == "C":
+        model.C[0, 1] = 1.0  # an invariant zero at -1
+    else:
+        model.E *= 2.0
+    after = design(model, "p2").realize(4.0)
+    Q = solve_filter_riccati(model.A, model.E, model.C, 4.0, after.delta).solution
+    assert after.Q_rho.tobytes() == Q.tobytes() != before.Q_rho.tobytes()
+
+
+def test_returned_Q_belongs_to_the_caller(memo):
+    model = lhp_zero_model()
+    first = realized(model, 4.0)
+    design(model, "p2").realize(4.0).Q_rho[:] = 7.0
+    synthesize_p2(model, 4.0).Q_rho[:] = 7.0
+    assert realized(model, 4.0) == first
+
+
 def test_memo_is_bounded(memo):
     maxsize = {fn.cache_info().maxsize for fn in MEMOS}
     assert len(maxsize) == 1 and None not in maxsize
     for k in range(2 * maxsize.pop()):
         model = AgentModel([[-1.0 - k]], [[1.0]], [[1.0]], [[1.0]])
         design(model, "p1")
+        design(model, "p2").realize(1.0 + k)
     for fn in MEMOS:
         info = fn.cache_info()
         assert info.currsize <= info.maxsize
@@ -186,12 +271,14 @@ def test_memo_is_bounded(memo):
 class TestDesignWorkloadCost:
     """The `design` benchmark's pattern (13 rho; per rho, reports on both
     reference graphs and p1 and p2 synthesis) checks each (model,
-    coupling) once and solves the one (A, B) CARE once."""
+    coupling) once, solves the one (A, B) CARE once and searches the
+    filter Riccati once per rho: a second pass solves nothing."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         clear_synthesis_memos()
-        calls = {"invariant_zeros": 0, "check_stabilizable": 0, "solve_care_standard": 0}
+        calls = {"invariant_zeros": 0, "check_stabilizable": 0, "solve_care_standard": 0,
+                 "solve_filter_riccati": 0}
 
         def count(module, name):
             fn = getattr(module, name)
@@ -205,6 +292,7 @@ class TestDesignWorkloadCost:
         count(conditions, "invariant_zeros")
         count(conditions, "check_stabilizable")
         count(protocol, "solve_care_standard")
+        count(protocol, "solve_filter_riccati")
         return calls
 
     def test_design_pattern(self, calls):
@@ -215,12 +303,22 @@ class TestDesignWorkloadCost:
         clear_synthesis_memos()
         calls.update(dict.fromkeys(calls, 0))
         graphs = (case1_graph(), case2_graph())
-        for rho in DESIGN_RHOS:
-            assert all(full_report(model, g).overall for g in graphs)
-            synthesize_p1(model_fs, rho)
-            synthesize_p2(model, rho)
+
+        def one_pass():
+            for rho in DESIGN_RHOS:
+                assert all(full_report(model, g).overall for g in graphs)
+                synthesize_p1(model_fs, rho)
+                synthesize_p2(model, rho)
+
+        one_pass()
         assert calls == {
             "invariant_zeros": 1,
             "check_stabilizable": one_cold_report_per_coupling,
             "solve_care_standard": 1,
+            # the delta searches of the 13 rho: 99 tries refused at the
+            # imaginary-axis test, 35 at Q > 0 and 13 that pass
+            "solve_filter_riccati": 147,
         }
+        calls.update(dict.fromkeys(calls, 0))
+        one_pass()
+        assert calls == dict.fromkeys(calls, 0)

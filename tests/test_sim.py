@@ -257,6 +257,14 @@ class TestRmsVsH2:
         with pytest.raises(ConfigInvalid):
             rms_vs_h2_consistency(case1_p2_config(), 2)
 
+    @pytest.mark.parametrize("n_seeds", [1, 3])
+    def test_per_seed_rms_is_monte_carlo_xbar(self, n_seeds):
+        # the x-bar reduction alone gives the bits of monte_carlo_rms's
+        cfg = case1_p2_config(noise="white", t_final=3.0, dt=1e-2, seed=41)
+        res = rms_vs_h2_consistency(cfg, n_seeds)
+        _, rms_xbar = monte_carlo_rms(cfg, [41 + i for i in range(n_seeds)])
+        assert res.per_seed_rms.tobytes() == rms_xbar.tobytes()
+
 
 def dense_max_pair_sq(X):
     """Reference: the full N x N broadcast of every pair difference of X
