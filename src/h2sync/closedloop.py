@@ -286,10 +286,14 @@ def error_h2(cl: ModeData | ClosedLoop):
     A `ModeData` is solved per graph mode (see `modal_h2`); a
     `ClosedLoop` by a Lyapunov solve on A_cl, whose Hurwitz gate refuses
     a raw stacked loop of marginal agents with NotHurwitz (reduce it
-    with `reduce_to_differences` first).
+    with `reduce_to_differences` first).  DimensionMismatch for any
+    other type.
     """
     if isinstance(cl, ModeData):
         return modal_h2(cl)[0]
+    if not isinstance(cl, ClosedLoop):
+        raise DimensionMismatch(f"error_h2 expects a ModeData or a ClosedLoop, "
+                                f"got {type(cl).__name__}")
     return h2_norm(cl.A_cl, cl.B_cl, cl.C_cl)
 
 

@@ -351,7 +351,8 @@ def full_report(model: AgentModel, g: Optional[CommGraph] = None, kind: Optional
     """Aggregate the solvability checks of protocol `kind` into one report;
     the model-only conditions when no graph is given.  "p1" checks the
     full-state conditions, "p2" the partial-state ones, None those of p1
-    exactly when C = I.  DimensionMismatch for p1 with C != I or another kind."""
+    exactly when C = I.  DimensionMismatch for p1 with C != I, another
+    kind, or a g that is not a CommGraph."""
     coupling = _coupling(model, kind)
     stab, detect, clhp, matched, X, minphase, zeros = _model_conditions(
         coupling, _memo_key(*_matrices(model)))

@@ -65,8 +65,16 @@ class LaplacianPair:
     Pi: np.ndarray
 
 
+def _require_graph(g):
+    """DimensionMismatch unless g is a CommGraph."""
+    if not isinstance(g, CommGraph):
+        raise DimensionMismatch(f"expected a CommGraph, got {type(g).__name__}")
+
+
 def laplacian(g: CommGraph) -> LaplacianPair:
-    """Build (L, L_reduced, Pi) from the adjacency weights."""
+    """Build (L, L_reduced, Pi) from the adjacency weights;
+    DimensionMismatch unless g is a CommGraph."""
+    _require_graph(g)
     A = g.adjacency
     N = g.n_agents
     L = np.diag(A.sum(axis=1)) - A
@@ -82,8 +90,9 @@ def has_spanning_tree(g: CommGraph):
     edges; a_ij > 0 is the edge j -> i.  Roots are 0-based indices in
     ascending order.  A spanning tree exists exactly when one strongly
     connected component has no edge entering it; its members are the
-    roots.
+    roots.  DimensionMismatch unless g is a CommGraph.
     """
+    _require_graph(g)
     A = g.adjacency
     n_comp, labels = connected_components(csr_matrix(A), directed=True, connection="strong")
     into, out_of = np.nonzero(A > 0)

@@ -36,9 +36,9 @@ reduction, `_max_pair_sq`.  It copies each chunk of steps once into an
 agent-major layout whose last axis is steps x runs, then works agent by
 agent with in-place ufuncs over that contiguous axis.  Its results are
 bit-identical to summing the gathered pair differences with numpy:
-floating-point sums depend on their order, so it keeps numpy's order
-for the component sum (sequential for batched runs, pairwise for a
-single run), not only its values.
+floating-point sums depend on their order, so the component sum is
+left to numpy itself wherever numpy's order is not a plain sequence
+(a single run of 8 or more components, which it sums pairwise).
 """
 
 import math
@@ -117,6 +117,11 @@ class SimConfig:
     integrator: str = "rk4"
 
     def __post_init__(self):
+        for name, kind in (("model", AgentModel), ("graph", CommGraph),
+                           ("protocol", ProtocolRealization)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigInvalid(f"{name} must be a {kind.__name__}, "
+                                    f"got {type(getattr(self, name)).__name__}")
         steps = _check_time_grid(self.dt, self.t_final)
         if 8 * (steps + 1) > _SIMULATE_MAX_BYTES:
             raise ConfigInvalid(f"t_final / dt = {steps} steps would keep {8 * (steps + 1)} "
@@ -259,31 +264,6 @@ def _start(cfg, seeds):
     return M, K, Z, rngs
 
 
-def _add_in_order(D, lo, hi, pairwise):
-    """D[:, lo] += D[:, lo+1] + ... + D[:, hi-1], in place, in the order
-    np.add.reduce takes: sequential, or with `pairwise` the blocked
-    pairwise order it uses along a contiguous axis (8 running sums for
-    8 to 128 terms, halves split on a multiple of 8 above that).  Below
-    8 terms the two orders are the same."""
-    n = hi - lo
-    if not pairwise or n < 8:
-        for k in range(lo + 1, hi):
-            D[:, lo] += D[:, k]
-    elif n > 128:
-        half = n // 2 - n // 2 % 8
-        _add_in_order(D, lo, lo + half, True)
-        _add_in_order(D, lo + half, hi, True)
-        D[:, lo] += D[:, lo + half]
-    else:
-        end = hi - n % 8
-        for k in range(lo + 8, end, 8):
-            D[:, lo : lo + 8] += D[:, k : k + 8]
-        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-            D[:, lo + a] += D[:, lo + b]
-        for k in range(end, hi):
-            D[:, lo] += D[:, k]
-
-
 def _max_pair_sq(X):
     """X (T, N, n[, s]) -> per-step max over agent pairs of ||x_i - x_j||^2.
 
@@ -296,9 +276,11 @@ def _max_pair_sq(X):
     non-finite state gives NaN, as all N x N pairs do.
 
     The result is bit-identical to (D**2).sum(axis=2).max(axis=1) over
-    the gathered differences D (T, pairs, n[, s]): the component sum
-    keeps that reduction's order, which is sequential over batched runs
-    and numpy's pairwise order for a single run (n >= 8)."""
+    the gathered differences D (T, pairs, n[, s]).  That sum runs in
+    sequence over batched runs and over fewer than 8 components, which
+    in-place adds repeat; a single run of 8 or more is summed pairwise,
+    so its components are copied to a contiguous last axis and reduced
+    by np.add.reduce itself."""
     (T, N, n), run_shape = X.shape[:3], X.shape[3:]
     runs = math.prod(run_shape)
     X = X.reshape(T, N, n, runs)
@@ -316,7 +298,11 @@ def _max_pair_sq(X):
             d = D[: N - i, :, : c * runs]
             np.subtract(y[i:], y[i], out=d)
             np.multiply(d, d, out=d)
-            _add_in_order(d, 0, n, pairwise=runs == 1)
+            if runs == 1 and n >= 8:  # numpy's pairwise order, by numpy
+                np.add.reduce(d.transpose(0, 2, 1).copy(), axis=2, out=d[:, 0])
+            else:
+                for k in range(1, n):
+                    d[:, 0] += d[:, k]
             np.maximum(best, d[:, 0].max(axis=0), out=best)
     return out.reshape((T,) + run_shape)
 
@@ -348,15 +334,17 @@ def rms(signal):
     signal is (T,) or (T, k); the value is the square root of the time
     average of the squared 2-norm over the last ceil(T/2) samples.
     ConfigInvalid for an empty signal or one that is not an array of
-    real numbers.
+    real numbers, or one with more than two axes.
     """
     try:
         sig = np.atleast_1d(np.asarray(signal))
     except ValueError as exc:  # ragged nesting
         raise ConfigInvalid(f"rms of a ragged signal: {exc}") from None
     T = sig.shape[0]
-    if T == 0 or sig.dtype.kind not in "biuf":  # a cast would drop imaginary parts or parse text
-        raise ConfigInvalid(f"rms needs a nonempty real signal, got {sig.dtype} {sig.shape}")
+    # a cast would drop imaginary parts or parse text
+    if T == 0 or sig.ndim > 2 or sig.dtype.kind not in "biuf":
+        raise ConfigInvalid(f"rms needs a nonempty real (T,) or (T, k) signal, "
+                            f"got {sig.dtype} {sig.shape}")
     tail = sig[T // 2:].astype(float, copy=False)
     sq = tail**2 if tail.ndim == 1 else (tail**2).sum(axis=1)
     return float(np.sqrt(sq.mean()))

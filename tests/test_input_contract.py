@@ -5,10 +5,10 @@ entry, complex entries, a matrix of the wrong shape and an empty state
 (n = 0) with an H2SyncError subclass and no warning.  A realization is refused by every
 function that uses it with a model it does not fit.  Seeds, signals,
 graph headers, tolerances, rho, delta, dt and t_final values that are
-not real numbers, the arrays of an error-form loop's `ModeData` and a stacked
-loop that does not fit `reduce_to_differences` get typed errors as
-well, and the CLI exits 2 with one stderr line on the model and graph
-files below.
+not real numbers, the arrays of an error-form loop's `ModeData`, a stacked
+loop that does not fit `reduce_to_differences`, and a graph, loop or
+`SimConfig` field of another type get typed errors as well, and the CLI
+exits 2 with one stderr line on the model and graph files below.
 """
 
 import dataclasses
@@ -52,7 +52,13 @@ from h2sync.errors import (
     ParseError,
     RhoOutOfRange,
 )
-from h2sync.graph import CommGraph, laplacian, parse_graph, reduced_spectrum_check
+from h2sync.graph import (
+    CommGraph,
+    has_spanning_tree,
+    laplacian,
+    parse_graph,
+    reduced_spectrum_check,
+)
 from h2sync.linalg import (
     h2_norm,
     hinf_norm,
@@ -347,6 +353,13 @@ class TestModeData:
         with pytest.raises(DimensionMismatch):
             _quietly(lambda: error_h2(dataclasses.replace(MODES, **{field: bad})))
 
+    # error_h2 takes a ModeData or a ClosedLoop and nothing else
+    @pytest.mark.parametrize("loop", [None, MODES.dense()[0], MODES.dense()],
+                             ids=["none", "array", "tuple"])
+    def test_error_h2_of_another_type(self, loop):
+        with pytest.raises(DimensionMismatch, match="ModeData or a ClosedLoop"):
+            _quietly(error_h2, loop)
+
 
 class TestSeedsAndSignals:
     @staticmethod
@@ -417,6 +430,23 @@ class TestSeedsAndSignals:
         with pytest.raises(ConfigInvalid):
             _quietly(rms, signal)
 
+    # a third axis would be averaged as if it were time
+    @pytest.mark.parametrize("signal", [np.ones((4, 2, 2)), np.ones((4, 1, 1, 1))],
+                             ids=["3-axes", "4-axes"])
+    def test_rms_of_signal_with_more_than_two_axes(self, signal):
+        with pytest.raises(ConfigInvalid, match=r"\(T, k\)"):
+            _quietly(rms, signal)
+
+    @pytest.mark.parametrize("field, bad", [("model", np.eye(3)), ("graph", np.zeros((3, 3))),
+                                            ("protocol", None)],
+                             ids=["model", "graph", "protocol"])
+    def test_sim_config_field_of_another_type(self, field, bad):
+        # refused when the config is made, not by the first run that reads it
+        fields = dict(model=triple_integrator(), graph=case1_graph(), t_final=1.0,
+                      protocol=synthesize_p2(triple_integrator(), 4.0, delta_hint=CASE_DELTA))
+        with pytest.raises(ConfigInvalid, match=f"{field} must be a"):
+            _quietly(lambda: SimConfig(**{**fields, field: bad}))
+
     @pytest.mark.parametrize("run, match", [
         (lambda cfg: dataclasses.replace(cfg, dt="0.001"), "real number"),
         (lambda cfg: dataclasses.replace(cfg, t_final=None), "real number"),
@@ -459,6 +489,17 @@ class TestGraphInputs:
     def test_spectrum_tol_refused(self, tol):
         with pytest.raises(DimensionMismatch, match="tol"):
             _quietly(reduced_spectrum_check, laplacian(case1_graph()), tol)
+
+    @pytest.mark.parametrize("call", [
+        laplacian, has_spanning_tree,
+        lambda g: full_report(triple_integrator(), g),
+        lambda g: design(triple_integrator(), "p2", g),
+    ], ids=["laplacian", "has_spanning_tree", "full_report", "design"])
+    @pytest.mark.parametrize("g", [np.zeros((3, 3)), [[0.0, 1.0], [1.0, 0.0]]],
+                             ids=["array", "nested-list"])
+    def test_graph_of_another_type(self, call, g):
+        with pytest.raises(DimensionMismatch, match="CommGraph"):
+            _quietly(call, g)
 
 
 class TestCli:

@@ -308,7 +308,7 @@ def traced_peak(fn, *args):
 class TestPairError:
     # n = 8 is the first length numpy sums pairwise along a contiguous axis
     @pytest.mark.parametrize("N", [2, 20])
-    @pytest.mark.parametrize("n", [3, 8, 9, 17])
+    @pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 17])
     def test_matches_dense_broadcast(self, N, n, monkeypatch):
         # one run (T, N, n) and three batched runs (T, N, n, s), the same
         # kind of values; every pair of each state is in the reference
@@ -331,6 +331,18 @@ class TestPairError:
         # past 128 terms numpy's pairwise sum splits in halves
         X = np.random.default_rng(n).standard_normal((40, 3, n)) * 1e3
         assert np.array_equal(_max_pair_error(X), dense_max_pair_error(X))
+
+    def test_simulate_nine_states_matches_dense_broadcast(self):
+        # a single run of n = 9 through `trajectory_blocks`, the path whose
+        # component sum numpy takes pairwise: a chain of 9 integrators,
+        # full state, on a 3-agent ring with a fourth agent as its tail
+        A, B = np.eye(9, k=1), np.eye(9)[:, -1:]
+        m = AgentModel.full_state(A, B, B)
+        adj = np.zeros((4, 4))
+        adj[0, 2] = adj[1, 0] = adj[2, 1] = adj[3, 2] = 1.0
+        res = simulate(SimConfig(model=m, graph=CommGraph(adj), protocol=synthesize_p1(m, 4.0),
+                                 t_final=2.0, dt=1e-2, noise="white", seed=3))
+        assert np.array_equal(res.sync_error, dense_max_pair_error(res.states))
 
     def test_finite_rows_exact(self):
         X = np.random.default_rng(1).standard_normal((50, 20, 9))
