@@ -10,7 +10,8 @@ Two independent assembly paths are provided on purpose:
   controllers straight from the protocol's canonical (Ac, Bc, Cc, Fc,
   Hc) form and the full Laplacian, as a dense `ClosedLoop`;
   `reduce_to_differences` then removes the marginally stable
-  synchronized motion by the similarity transform [[Pi], [e_N^T]] (x) I.
+  synchronized motion: it subtracts agent N's rows from every other
+  agent's and keeps the columns of agents 1..N-1.
 
 The error-coordinate derivation is the bug-prone step, so tests diff
 the two paths against each other, entry by entry through the transfer
@@ -33,14 +34,13 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .conditions import AgentModel
 from .errors import DimensionMismatch, RhoOutOfRange
-from .graph import CommGraph, LaplacianPair, laplacian
+from .graph import CommGraph, LaplacianPair, _require_laplacian, laplacian
 from .linalg import _as_matrix, h2_norm, require_rho
 from .modal import modal_h2
-from .protocol import ProtocolRealization, controller_matrices, design
+from .protocol import ProtocolRealization, _require_fits, controller_matrices, design
 
 __all__ = [
     "ClosedLoop",
@@ -153,12 +153,13 @@ class ClosedLoop:
     C_cl: np.ndarray
 
 
-def _check_dims(model: AgentModel, real: ProtocolRealization, kind: str):
+def _check_dims(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair, kind: str):
+    _require_fits(real, model)
+    _require_laplacian(lp)
     if real.kind != kind:
         raise DimensionMismatch(
             f"realization kind {real.kind!r} does not match assembler {kind!r}"
         )
-    real.require_fits(model)
 
 
 def assemble_p1(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair):
@@ -168,7 +169,7 @@ def assemble_p1(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
         dxbar = [I (x) (A - rho BB^T P)] xbar + rho [I (x) BB^T P] e + (Pi (x) E) w
         de    = [I (x) A - rho Lbar (x) I] e + (Pi (x) E) w
     """
-    _check_dims(model, real, "p1")
+    _check_dims(model, real, lp, "p1")
     n, rho = model.n, real.rho
     BBtP = model.B @ model.B.T @ real.P
     return ModeData(
@@ -189,7 +190,7 @@ def assemble_p2(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
         debar = [I (x) (A - delta^-2 Q C^T C)] ebar + (Lbar Pi (x) E) w
         de    = [I (x) A - rho Lbar (x) I] e + rho ebar + (Pi (x) E) w
     """
-    _check_dims(model, real, "p2")
+    _check_dims(model, real, lp, "p2")
     n, rho = model.n, real.rho
     BBtP = model.B @ model.B.T @ real.P
     filt = model.A - (real.Q_rho @ model.C.T @ model.C) / real.delta**2
@@ -202,6 +203,11 @@ def assemble_p2(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
         M=np.stack([lp.Pi, lp.L_reduced @ lp.Pi]),
         E=np.stack([np.vstack([model.E, model.E, zE]), np.vstack([zE, zE, model.E])]),
     )
+
+
+def _assemble(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair):
+    """The error-form loop of the protocol `real` realizes."""
+    return (assemble_p1 if real.kind == "p1" else assemble_p2)(model, real, lp)
 
 
 def assemble_stacked(model: AgentModel, real: ProtocolRealization, g: CommGraph):
@@ -231,21 +237,24 @@ def assemble_stacked(model: AgentModel, real: ProtocolRealization, g: CommGraph)
 
 def reduce_to_differences(cl: ClosedLoop, model: AgentModel,
                           real: ProtocolRealization):
-    """Similarity-transform a raw stacked loop to difference coordinates
-    and drop the synchronized (marginal) motion.
+    """Reduce a raw stacked loop to the differences against agent N and
+    drop the synchronized (marginal) motion.
 
-    With S = [[Pi], [e_N^T]] applied blockwise, the difference states
-    (x_i - x_N, x_ci - x_cN) close on themselves; the retained
-    subsystem realizes the same disturbance-to-xbar map and is Hurwitz
-    when the design conditions hold.  N is read off A_cl, as its rows
-    over n + n_c.  DimensionMismatch unless `cl` is a `ClosedLoop` of a
-    whole N >= 2 agents whose A_cl, B_cl and C_cl have the shapes
-    `assemble_stacked` gives (model, real), or if its difference states
-    do not close on themselves.
+    Each agent's plant rows and controller rows lose agent N's, and the
+    columns of agents 1..N-1 are kept: the difference states
+    (x_i - x_N, x_ci - x_cN) close on themselves, so the kept block
+    realizes the same disturbance-to-xbar map and is Hurwitz when the
+    design conditions hold.  They close exactly when every differenced
+    row sums to zero over the agents, plant columns and controller
+    columns apart.  N is read off A_cl, as its rows over n + n_c.
+    DimensionMismatch unless `cl` is a `ClosedLoop` of a whole N >= 2
+    agents whose A_cl, B_cl and C_cl have the shapes `assemble_stacked`
+    gives (model, real), or if its difference states do not close on
+    themselves.
     """
     if not isinstance(cl, ClosedLoop):
         raise DimensionMismatch("reduce_to_differences expects a stacked ClosedLoop")
-    real.require_fits(model)
+    _require_fits(real, model)
     n, nc = model.n, real.controller_state_dim
     N = (np.shape(cl.A_cl) or (0,))[0] // (n + nc)
     d = N * (n + nc)
@@ -254,30 +263,24 @@ def reduce_to_differences(cl: ClosedLoop, model: AgentModel,
         if N < 2 or got != shape:
             raise DimensionMismatch(f"{name} of shape {got} is not that of a stacked loop of "
                                     f"N >= 2 agents of {n} + {nc} states")
-    S = np.vstack([np.hstack([np.eye(N - 1), -np.ones((N - 1, 1))]),
-                   np.eye(N)[N - 1 :]])
-    T = sla.block_diag(np.kron(S, np.eye(n)), np.kron(S, np.eye(nc)))
-    Tinv = np.linalg.inv(T)
-    A_t = T @ cl.A_cl @ Tinv
-    B_t = T @ cl.B_cl
-    C_t = cl.C_cl @ Tinv
-    keep = np.concatenate([
-        np.arange((N - 1) * n),
-        N * n + np.arange((N - 1) * nc),
-    ])
-    drop = np.setdiff1d(np.arange(A_t.shape[0]), keep)
+
+    def differences(M):  # the plant and controller rows of agents 1..N-1 less agent N's
+        blocks = M[: N * n].reshape(N, n, -1), M[N * n :].reshape(N, nc, -1)
+        return np.vstack([(X[:-1] - X[-1]).reshape((N - 1) * X.shape[1], -1) for X in blocks])
+
+    A_d = differences(cl.A_cl)
+    keep = np.r_[: (N - 1) * n, N * n : d - nc]
     # the difference states must close on themselves; leakage from the
     # absolute states means the loop was not built from a diffusive protocol
-    leak = np.abs(A_t[np.ix_(keep, drop)]).max()
+    sums = (A_d[:, : N * n].reshape(-1, N, n).sum(axis=1),
+            A_d[:, N * n :].reshape(-1, N, nc).sum(axis=1))
+    leak = max(np.abs(s).max() for s in sums)
     if leak > 1e-9 * (1.0 + np.linalg.norm(cl.A_cl, 2)):
         raise DimensionMismatch(
             f"difference states do not decouple (leakage {leak:.2e}); "
             "is this a diffusively coupled network?"
         )
-    A_red = A_t[np.ix_(keep, keep)]
-    B_red = B_t[keep]
-    C_red = C_t[:, keep]
-    return ClosedLoop(A_red, B_red, C_red)
+    return ClosedLoop(A_d[:, keep], differences(cl.B_cl), cl.C_cl[:, keep])
 
 
 def error_h2(cl: ModeData | ClosedLoop):
@@ -313,11 +316,10 @@ def rho_scaling_probe(model: AgentModel, g: CommGraph, kind: str, rho_list, delt
     for rho in rhos:
         require_rho(rho)
     des = design(model, kind, g)
-    assemble = assemble_p1 if kind == "p1" else assemble_p2
     lp = laplacian(g)
     rows = []
     for rho in sorted(rhos):
-        h2, spectrum = modal_h2(assemble(model, des.realize(rho, delta), lp))
+        h2, spectrum = modal_h2(_assemble(model, des.realize(rho, delta), lp))
         rows.append((rho, h2, rho * h2, float(spectrum.real.max())))
     return rows
 

@@ -94,9 +94,17 @@ class AgentModel:
         return self.E.shape[1]
 
 
+def _require_model(model):
+    """DimensionMismatch unless model is an AgentModel."""
+    if not isinstance(model, AgentModel):
+        raise DimensionMismatch(f"expected an AgentModel, got {type(model).__name__}")
+
+
 def _matrices(model):
     """(A, B, C, E) of `model` through the `linalg` input gate, as they
-    are now: the fields are plain attributes a caller may reassign."""
+    are now: the fields are plain attributes a caller may reassign.
+    DimensionMismatch unless model is an AgentModel."""
+    _require_model(model)
     A, B, C = _as_system(model.A, model.B, model.C)
     return A, B, C, _as_system(A, model.E, names="AE")[1]
 
@@ -352,10 +360,10 @@ def full_report(model: AgentModel, g: Optional[CommGraph] = None, kind: Optional
     the model-only conditions when no graph is given.  "p1" checks the
     full-state conditions, "p2" the partial-state ones, None those of p1
     exactly when C = I.  DimensionMismatch for p1 with C != I, another
-    kind, or a g that is not a CommGraph."""
+    kind, a model that is not an AgentModel or a g that is not a CommGraph."""
+    key = _memo_key(*_matrices(model))
     coupling = _coupling(model, kind)
-    stab, detect, clhp, matched, X, minphase, zeros = _model_conditions(
-        coupling, _memo_key(*_matrices(model)))
+    stab, detect, clhp, matched, X, minphase, zeros = _model_conditions(coupling, key)
     return SolvabilityReport(
         coupling_kind=coupling,
         stabilizable=stab,
@@ -405,8 +413,9 @@ def parse_model(text: str) -> AgentModel:
 
 def model_to_text(model: AgentModel) -> str:
     """Serialize a model in the `parse_model` format."""
-    out = [f"{model.n} {model.m} {model.p} {model.w}"]
-    for M in (model.A, model.B, model.C, model.E):
+    A, B, C, E = _matrices(model)
+    out = [f"{A.shape[0]} {B.shape[1]} {C.shape[0]} {E.shape[1]}"]
+    for M in (A, B, C, E):
         for row in M:
             out.append(" ".join(f"{v:.17g}" for v in row))
     return "\n".join(out) + "\n"

@@ -71,6 +71,12 @@ def _require_graph(g):
         raise DimensionMismatch(f"expected a CommGraph, got {type(g).__name__}")
 
 
+def _require_laplacian(lp):
+    """DimensionMismatch unless lp is a LaplacianPair."""
+    if not isinstance(lp, LaplacianPair):
+        raise DimensionMismatch(f"expected a LaplacianPair, got {type(lp).__name__}")
+
+
 def laplacian(g: CommGraph) -> LaplacianPair:
     """Build (L, L_reduced, Pi) from the adjacency weights;
     DimensionMismatch unless g is a CommGraph."""
@@ -112,9 +118,10 @@ def reduced_spectrum_check(lp: LaplacianPair, tol: float):
     (True, pairing) where pairing is a list of (lambda_L, lambda_Lbar)
     pairs; raises SpectrumMismatch if any pair is further apart than
     `tol`, or if L does not have a simple zero eigenvalue (no spanning
-    tree, or a construction bug); DimensionMismatch unless tol is a
-    real number, finite and >= 0.
+    tree, or a construction bug); DimensionMismatch unless lp is a
+    LaplacianPair and tol a real number, finite and >= 0.
     """
+    _require_laplacian(lp)
     if not isinstance(tol, numbers.Real) or not (0.0 <= tol < np.inf):
         raise DimensionMismatch(f"tol must be finite and >= 0, got {tol}")
     ev_L = np.linalg.eigvals(lp.L)
@@ -208,7 +215,9 @@ def parse_graph(text: str) -> CommGraph:
 
 
 def graph_to_text(g: CommGraph) -> str:
-    """Serialize as an edge list (1-based), round-trippable via parse_graph."""
+    """Serialize as an edge list (1-based), round-trippable via parse_graph;
+    DimensionMismatch unless g is a CommGraph."""
+    _require_graph(g)
     out = [str(g.n_agents)]
     ii, jj = np.nonzero(g.adjacency)
     for i, j in zip(ii, jj):

@@ -118,6 +118,24 @@ def _solve_pair(Rp, Rq, cp, cq, mT, C, hermitian):
     return Y, np.vdot(res, res).real
 
 
+def _modes(md):
+    """The Schur coordinates of an error-form loop `md` (see `modal_h2`):
+    (T, U) of Lbar, the block-diagonal unitary Q, R = triu(Q^H D Q), the
+    mode blocks R_k = R - rho t_kk S, and the spectrum, the union of
+    their diagonals."""
+    T, U = _schur(md.L_reduced)
+    d = md.D.shape[0]
+    Q = np.zeros((d, d), dtype=complex)
+    for i in range(d // md.n):
+        blk = md.block(i)
+        Q[blk, blk] = _schur(md.D[blk, blk])[1]
+    S = np.zeros(d)
+    S[md.block(md.coupled)] = 1.0
+    R = np.triu(Q.conj().T @ md.D @ Q)
+    Rk = R - (md.rho * T.diagonal())[:, None, None] * np.diag(S)
+    return T, U, Q, R, Rk, Rk.diagonal(axis1=1, axis2=2).ravel()
+
+
 def modal_h2(md):
     """(H2 norm, spectrum) of an error-form loop given as
     `closedloop.ModeData`, by Bartels-Stewart over the agent sub-blocks
@@ -163,20 +181,10 @@ def modal_h2(md):
     max_k ||R_k||_2 and max_k ||Y_kk||_2, lower bounds of ||A||_2 and
     ||X||_2, which is stricter than the dense path's test.
     """
-    T, U = _schur(md.L_reduced)
+    T, U, Q, R, Rk, spectrum = _modes(md)
+    require_hurwitz(spectrum)
     m, d, n, rho = T.shape[0], md.D.shape[0], md.n, md.rho
     b, c = d // n, md.coupled
-    Q = np.zeros((d, d), dtype=complex)
-    for i in range(b):
-        blk = md.block(i)
-        Q[blk, blk] = _schur(md.D[blk, blk])[1]
-    Qh = Q.conj().T
-    S = np.zeros(d)
-    S[md.block(c)] = 1.0
-    R = np.triu(Qh @ md.D @ Q)
-    Rk = R - (rho * T.diagonal())[:, None, None] * np.diag(S)
-    spectrum = Rk.diagonal(axis1=1, axis2=2).ravel()
-    require_hurwitz(spectrum)
 
     # W_pq[k, l] = sum_ab (G_a G_b^H)_kl (Q^H E_a)_p (Q^H E_b)_q^H with
     # G_a = U^H M_a, entry-major as negW[p, q] @ Gam: the n x n outer
@@ -186,7 +194,7 @@ def modal_h2(md):
     a = G.shape[0]
     Gf = G.transpose(1, 0, 2).reshape(m * a, -1)
     Gam = (Gf @ Gf.conj().T).reshape(m, a, m, a).transpose(1, 3, 0, 2).reshape(a * a, m * m)
-    QE = (Qh @ md.E).reshape(a * d, -1)
+    QE = (Q.conj().T @ md.E).reshape(a * d, -1)
     negW = -(QE @ QE.conj().T).reshape(a, b, n, a, b, n).transpose(1, 4, 2, 5, 0, 3)
     negW = negW.reshape(b, b, n * n, a * a)
     Rt = R.reshape(b, n, b, n).transpose(0, 2, 1, 3)  # Rt[p, q] = R_pq

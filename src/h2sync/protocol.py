@@ -43,6 +43,7 @@ from .conditions import (
     _full_state,
     _matrices,
     _memo_key,
+    _require_model,
     full_report,
 )
 from .errors import (
@@ -111,17 +112,27 @@ class ProtocolRealization:
     def n(self):
         return self.P.shape[0]
 
-    def require_fits(self, model: AgentModel):
-        """Raise DimensionMismatch unless this realization belongs to
-        `model`: the same n and, for p1, full-state coupling."""
-        if self.n != model.n:
-            raise DimensionMismatch(f"realization built for n={self.n}, model has n={model.n}")
-        if self.kind == "p1" and not _full_state(model):
-            raise DimensionMismatch("a p1 realization needs a full-state coupled model (C = I)")
-
     @property
     def controller_state_dim(self):
         return self.n if self.kind == "p1" else 2 * self.n
+
+
+def _require_realization(real):
+    """DimensionMismatch unless real is a ProtocolRealization."""
+    if not isinstance(real, ProtocolRealization):
+        raise DimensionMismatch(f"expected a ProtocolRealization, got {type(real).__name__}")
+
+
+def _require_fits(real, model: AgentModel):
+    """Raise DimensionMismatch unless `real` is a ProtocolRealization
+    that belongs to the AgentModel `model`: the same n and, for p1,
+    full-state coupling."""
+    _require_realization(real)
+    _require_model(model)
+    if real.n != model.n:
+        raise DimensionMismatch(f"realization built for n={real.n}, model has n={model.n}")
+    if real.kind == "p1" and not _full_state(model):
+        raise DimensionMismatch("a p1 realization needs a full-state coupled model (C = I)")
 
 
 @dataclass
@@ -211,7 +222,7 @@ def controller_matrices(real: ProtocolRealization, model: AgentModel):
     Protocol 1: x_c = chi (n states).  Protocol 2: x_c = (xhat, chi)
     (2n states); the exchanged signal xi is chi in both cases.
     """
-    real.require_fits(model)
+    _require_fits(real, model)
     n, m, p = model.n, model.m, model.p
     rho = real.rho
     BBtP = model.B @ model.B.T @ real.P
@@ -243,7 +254,9 @@ def _fmt_matrix(name, M, out):
 
 
 def realization_to_text(real: ProtocolRealization) -> str:
-    """Flat text serialization, bit-exact round trip (17 significant digits)."""
+    """Flat text serialization, bit-exact round trip (17 significant digits);
+    DimensionMismatch unless real is a ProtocolRealization."""
+    _require_realization(real)
     out = [f"kind {real.kind}", f"n {real.n}", f"rho {real.rho:.17g}"]
     if real.kind == "p2":
         out.append(f"delta {real.delta:.17g}")

@@ -22,6 +22,10 @@ owns the divergence guard.  `simulate` collects the blocks;
 O(block + steps) memory; the Monte-Carlo helpers reduce each block to
 square sums and add them to a running sum with np.add.accumulate, one
 step at a time, so that no result depends on where blocks end.
+Before the first step, every run of a `SimConfig` checks that its step
+decays each mode of the error-form loop (`_step_growth` on the
+spectrum `modal_h2` reads off) and raises Diverged when one grows: a
+slowly growing run could stay under the guard and report a wrong RMS.
 `simulate` refuses a run whose trajectory would pass
 _SIMULATE_MAX_BYTES; such runs stream.  A `SimConfig` whose series of
 sync errors alone, 8 bytes a step, would pass it is refused when it is
@@ -32,13 +36,12 @@ of T samples: of t_0, ..., t_steps for `simulate` and the CLI's
 summary.csv, of t_1, ..., t_steps for the Monte-Carlo paths.
 
 The max-pair synchronization error of every path comes from one
-reduction, `_max_pair_sq`.  It copies each chunk of steps once into an
-agent-major layout whose last axis is steps x runs, then works agent by
-agent with in-place ufuncs over that contiguous axis.  Its results are
-bit-identical to summing the gathered pair differences with numpy:
-floating-point sums depend on their order, so the component sum is
-left to numpy itself wherever numpy's order is not a plain sequence
-(a single run of 8 or more components, which it sums pairwise).
+reduction, `_max_pair_sq`, which works agent by agent with in-place
+ufuncs over one chunk-sized buffer.  Its results are bit-identical to
+summing the gathered pair differences with numpy: floating-point sums
+depend on their order, so the component sum is left to numpy itself
+wherever numpy's order is not a plain sequence (a single run of 8 or
+more components, which it sums pairwise).
 """
 
 import math
@@ -49,12 +52,13 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .closedloop import assemble_p1, assemble_p2, assemble_stacked, error_h2
+from .closedloop import _assemble, assemble_stacked, error_h2
 from .conditions import AgentModel
 from .errors import ConfigInvalid, DimensionMismatch, Diverged
 from .graph import CommGraph, laplacian
 from .linalg import _as_matrix, _as_system
-from .protocol import ProtocolRealization
+from .modal import _modes
+from .protocol import ProtocolRealization, _require_fits
 
 __all__ = [
     "SimConfig",
@@ -126,7 +130,7 @@ class SimConfig:
         if 8 * (steps + 1) > _SIMULATE_MAX_BYTES:
             raise ConfigInvalid(f"t_final / dt = {steps} steps would keep {8 * (steps + 1)} "
                                 f"bytes of sync error (cap {_SIMULATE_MAX_BYTES})")
-        self.protocol.require_fits(self.model)
+        _require_fits(self.protocol, self.model)
         if self.noise not in ("off", "white"):
             raise ConfigInvalid(f"noise must be 'off' or 'white', got {self.noise!r}")
         _require_integrator(self.integrator)
@@ -250,10 +254,35 @@ def _generators(seeds):
     return rngs
 
 
+def _step_growth(mu, dt, integrator):
+    """max |g(dt mu)| over the modes mu: the growth of one step on the
+    difference subspace, g(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 for rk4
+    and e^z for zoh.  For rk4 it is at least max |e^(dt mu)|, so a mode
+    with Re mu >= 0 fails for either integrator at every step."""
+    z = dt * mu
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is refused
+        growth = np.abs(np.exp(z))
+        if integrator == "rk4":
+            growth = np.maximum(growth, np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))))
+    return growth.max()
+
+
 def _start(cfg, seeds):
     """Step matrices, initial states (dim, len(seeds)) as `simulate`
-    describes them, and one generator per seed."""
+    describes them, and one generator per seed.  Diverged, before the
+    first step, when a step grows a mode of the error-form loop (see
+    `_step_growth`)."""
     rngs = _generators(seeds)
+    mu = _modes(_assemble(cfg.model, cfg.protocol, laplacian(cfg.graph)))[-1]
+    growth = _step_growth(mu, cfg.dt, cfg.integrator)
+    if not growth < 1.0:
+        k = next((k for k in range(1, 53)  # dt / 2^52 is past any usable step
+                  if _step_growth(mu, cfg.dt / 2**k, cfg.integrator) < 1.0), None)
+        raise Diverged(
+            f"the {cfg.integrator} step dt={cfg.dt:g} grows a mode of the loop "
+            f"(max |g(dt mu)| = {growth:.6g} >= 1); "
+            + ("no step is stable" if k is None else
+               f"dt / 2^{k} = {cfg.dt / 2**k:g} is the largest dt / 2^k that is stable"))
     cl = assemble_stacked(cfg.model, cfg.protocol, cfg.graph)
     M, K = step_matrices(cl.A_cl, cl.B_cl, cfg.dt, cfg.integrator)
     Nn = cfg.graph.n_agents * cfg.model.n
@@ -267,26 +296,39 @@ def _start(cfg, seeds):
 def _max_pair_sq(X):
     """X (T, N, n[, s]) -> per-step max over agent pairs of ||x_i - x_j||^2.
 
-    Each chunk of steps is copied once to Y (N, n, steps x runs), so that
-    every operation below runs over one contiguous step-and-run axis
-    instead of gathering all N(N+1)/2 pair differences.  Then, for each
-    agent i, the differences to agents j >= i are squared in place, their
+    Chunks of steps are reduced agent by agent instead of gathering all
+    N(N+1)/2 pair differences: for each agent i, the differences to
+    agents j >= i are written to one buffer, squared in place, their
     components summed and a running maximum kept.  Pairs i <= j suffice,
     since x_j - x_i is exactly -(x_i - x_j); the diagonal stays, so a
     non-finite state gives NaN, as all N x N pairs do.
 
     The result is bit-identical to (D**2).sum(axis=2).max(axis=1) over
     the gathered differences D (T, pairs, n[, s]).  That sum runs in
-    sequence over batched runs and over fewer than 8 components, which
-    in-place adds repeat; a single run of 8 or more is summed pairwise,
-    so its components are copied to a contiguous last axis and reduced
-    by np.add.reduce itself."""
+    sequence over batched runs and over fewer than 8 components: there
+    each chunk is first copied to Y (N, n, steps x runs), and in-place
+    adds over that contiguous step-and-run axis repeat it.  A single run
+    of 8 or more is summed pairwise: there the buffer keeps each step's
+    components last, as X does, and np.add.reduce sums them itself."""
     (T, N, n), run_shape = X.shape[:3], X.shape[3:]
     runs = math.prod(run_shape)
-    X = X.reshape(T, N, n, runs)
     rows = _block_rows(N * n, runs)
     # the diagonal pair gives 0 for a finite state, so 0 moves no maximum
     out = np.zeros((T, runs))
+    if runs == 1 and n >= 8:  # numpy's pairwise order, by numpy
+        X, R = X.reshape(T, N, n).transpose(1, 0, 2), min(rows, T)
+        D, S = np.empty((N, R, n)), np.empty((N, R))
+        for a in range(0, T, rows):
+            c = min(rows, T - a)
+            x, best = X[:, a : a + c], out[a : a + c, 0]
+            for i in range(N):
+                d = D[: N - i, :c]
+                np.subtract(x[i:], x[i], out=d)
+                np.multiply(d, d, out=d)
+                s = np.add.reduce(d, axis=2, out=S[: N - i, :c])
+                np.maximum(best, s.max(axis=0), out=best)
+        return out.reshape((T,) + run_shape)
+    X = X.reshape(T, N, n, runs)
     Y = np.empty((N, n, min(rows, T), runs))
     D = np.empty((N, n, Y.shape[2] * runs))
     for a in range(0, T, rows):
@@ -298,11 +340,8 @@ def _max_pair_sq(X):
             d = D[: N - i, :, : c * runs]
             np.subtract(y[i:], y[i], out=d)
             np.multiply(d, d, out=d)
-            if runs == 1 and n >= 8:  # numpy's pairwise order, by numpy
-                np.add.reduce(d.transpose(0, 2, 1).copy(), axis=2, out=d[:, 0])
-            else:
-                for k in range(1, n):
-                    d[:, 0] += d[:, k]
+            for k in range(1, n):
+                d[:, 0] += d[:, k]
             np.maximum(best, d[:, 0].max(axis=0), out=best)
     return out.reshape((T,) + run_shape)
 
@@ -443,8 +482,7 @@ def rms_vs_h2_consistency(cfg: SimConfig, n_seeds: int) -> ConsistencyResult:
         raise ConfigInvalid("rms_vs_h2_consistency requires noise='white'")
     if not isinstance(n_seeds, numbers.Integral) or n_seeds < 1:
         raise ConfigInvalid(f"n_seeds must be an integer >= 1, got {n_seeds!r}")
-    assemble = assemble_p1 if cfg.protocol.kind == "p1" else assemble_p2
-    predicted = error_h2(assemble(cfg.model, cfg.protocol, laplacian(cfg.graph)))
+    predicted = error_h2(_assemble(cfg.model, cfg.protocol, laplacian(cfg.graph)))
 
     seeds = [cfg.seed + i for i in range(n_seeds)]
     rms_xbar = _seed_tail_rms(cfg, seeds, _xbar_sq)

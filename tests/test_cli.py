@@ -201,6 +201,24 @@ class TestSimulate:
         assert summary[1].startswith("custom,4,0.0004,5,")
 
 
+    def test_unstable_step_exits_3(self, ref_files, capsys):
+        # the complete 3-agent digraph of weight 23.22: at dt = 1e-2 RK4
+        # grows its fastest difference mode by 1.00167 a step
+        model, _, tmp = ref_files
+        graph = tmp / "complete.txt"
+        graph.write_text("3\n" + "".join(f"{i} {j} 23.22\n" for i in (1, 2, 3)
+                                         for j in (1, 2, 3) if i != j))
+        out = tmp / "sim"
+        code = main(["simulate", "--model", model, "--graph", str(graph),
+                     "--protocol", "p2", "--rho", "4", "--delta", "0.0004",
+                     "--t-final", "50", "--dt", "0.01", "--noise", "white",
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the rk4 step dt=0.01 grows a mode")
+        assert "dt / 2^1 = 0.005" in err
+        assert not list(out.glob("*.csv"))
+
     def test_rho_values_that_print_alike_rejected(self, ref_files, capsys):
         # both would write trajectory_custom_rho4.csv and a summary row `4`
         model, graph, tmp = ref_files
@@ -567,9 +585,11 @@ class TestOneStderrLine:
     with the default warning filters, as a user runs the CLI."""
 
     @pytest.mark.parametrize("argv, line", [
-        # RK4 at dt = 0.05 overflows within a block of this loop
+        # RK4 at dt = 0.05 grows a mode of this loop: refused before the
+        # first step (the guard's overflow inside a block, which no model
+        # the CLI admits reaches, is `TestDivergenceGuard`'s in test_sim)
         (["simulate", "--protocol", "p2", "--rho", "10", "--delta", "0.0004",
-          "--dt", "0.05", "--t-final", "20"], "numerical failure: state norm exceeded"),
+          "--dt", "0.05", "--t-final", "20"], "numerical failure: the rk4 step dt=0.05 grows"),
         # the delta search meets Lyapunov equations scipy would perturb
         (["synth", "--protocol", "p2", "--rho", "256"],
          "numerical failure: no feasible delta found"),

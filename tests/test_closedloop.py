@@ -218,6 +218,37 @@ class TestStackedCrossCheck:
             reduce_to_differences(leaky, m, real)
 
 
+def similarity_reduction(cl, model, real):
+    """Reference reduction: the similarity transform
+    T = blockdiag(S (x) I_n, S (x) I_nc), S = [[Pi], [e_N^T]], applied to
+    the stacked loop, keeping the rows and columns of agents 1..N-1."""
+    n, nc = model.n, real.controller_state_dim
+    N = cl.A_cl.shape[0] // (n + nc)
+    S = np.vstack([np.hstack([np.eye(N - 1), -np.ones((N - 1, 1))]), np.eye(N)[N - 1 :]])
+    T = sla.block_diag(np.kron(S, np.eye(n)), np.kron(S, np.eye(nc)))
+    Tinv = np.linalg.inv(T)
+    keep = np.concatenate([np.arange((N - 1) * n), N * n + np.arange((N - 1) * nc)])
+    return ((T @ cl.A_cl @ Tinv)[np.ix_(keep, keep)], (T @ cl.B_cl)[keep],
+            (cl.C_cl @ Tinv)[:, keep])
+
+
+class TestReductionIsExact:
+    """Subtracting agent N's rows is the similarity transform, bit for
+    bit: T's rows are one 1 and one -1, and T^-1's kept columns unit
+    vectors, so every product is one exact subtraction or a copy."""
+
+    @pytest.mark.parametrize("graph", ["case1", "case2", "random-30"])
+    def test_equals_similarity_transform(self, designs, graph):
+        g = (random_spanning_tree_graph(np.random.default_rng(30), 30)[0]
+             if graph == "random-30" else oracle_graph(graph))
+        for model, real, _ in designs:
+            raw = assemble_stacked(model, real, g)
+            red = reduce_to_differences(raw, model, real)
+            for got, want in zip((red.A_cl, red.B_cl, red.C_cl),
+                                 similarity_reduction(raw, model, real)):
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def frequency_response(cl, omega):
     """C (j omega I - A)^-1 B of a loop."""
     n = cl.A_cl.shape[0]

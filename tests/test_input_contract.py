@@ -44,6 +44,7 @@ from h2sync.conditions import (
     check_stabilizable,
     full_report,
     invariant_zeros,
+    model_to_text,
 )
 from h2sync.errors import (
     ConfigInvalid,
@@ -54,6 +55,7 @@ from h2sync.errors import (
 )
 from h2sync.graph import (
     CommGraph,
+    graph_to_text,
     has_spanning_tree,
     laplacian,
     parse_graph,
@@ -70,8 +72,10 @@ from h2sync.linalg import (
 )
 from h2sync.protocol import (
     ProtocolRealization,
+    _require_fits,
     controller_matrices,
     design,
+    realization_to_text,
     synthesize_p1,
     synthesize_p2,
 )
@@ -199,9 +203,9 @@ class TestFit:
 
     def test_fitting_pairs_accepted(self):
         full = triple_integrator_full_state()
-        self.P1.require_fits(full)
-        self.P2.require_fits(self.PARTIAL)
-        self.P2.require_fits(full)  # p2 fits a C = I model too
+        _require_fits(self.P1, full)
+        _require_fits(self.P2, self.PARTIAL)
+        _require_fits(self.P2, full)  # p2 fits a C = I model too
         assemble_stacked(full, self.P1, case1_graph())
         _sim_config(self.PARTIAL, self.P2)
 
@@ -299,6 +303,41 @@ class TestReduceToDifferences:
     def test_refused(self, row):
         with pytest.raises(DimensionMismatch):
             _quietly(reduce_to_differences, *self.ROWS[row])
+
+
+class TestArgumentTypes:
+    """A model, graph, Laplacian pair or realization of another type is
+    refused with DimensionMismatch naming the type expected, by the one
+    check of that type."""
+
+    FULL, PARTIAL = triple_integrator_full_state(), triple_integrator()
+    ROWS = {
+        "graph_to_text-array": (lambda: graph_to_text(np.zeros((3, 3))), "CommGraph"),
+        "reduced_spectrum_check-array": (lambda: reduced_spectrum_check(np.zeros((3, 3)), 1e-8),
+                                         "LaplacianPair"),
+        "assemble_p1-lp-array": (lambda: assemble_p1(TestArgumentTypes.FULL, TestFit.P1,
+                                                     np.zeros((2, 2))), "LaplacianPair"),
+        "assemble_p2-lp-array": (lambda: assemble_p2(TestArgumentTypes.PARTIAL, TestFit.P2,
+                                                     np.zeros((2, 2))), "LaplacianPair"),
+        "controller_matrices-none": (lambda: controller_matrices(None, TestArgumentTypes.FULL),
+                                     "ProtocolRealization"),
+        "controller_matrices-model-none": (lambda: controller_matrices(TestFit.P1, None),
+                                           "AgentModel"),
+        "assemble_p2-model-none": (lambda: assemble_p2(None, TestFit.P2,
+                                                       laplacian(case1_graph())), "AgentModel"),
+        "reduce_to_differences-none": (lambda: reduce_to_differences(
+            TestReduceToDifferences.LOOP, TestArgumentTypes.FULL, None), "ProtocolRealization"),
+        "realization_to_text-none": (lambda: realization_to_text(None), "ProtocolRealization"),
+        "full_report-none": (lambda: full_report(None), "AgentModel"),
+        "design-none": (lambda: design(None, "p2"), "AgentModel"),
+        "model_to_text-none": (lambda: model_to_text(None), "AgentModel"),
+    }
+
+    @pytest.mark.parametrize("row", ROWS)
+    def test_refused(self, row):
+        call, expected = self.ROWS[row]
+        with pytest.raises(DimensionMismatch, match=f"expected an? {expected}, got"):
+            _quietly(call)
 
 
 # the case-1 p2 loop at rho = 4

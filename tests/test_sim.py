@@ -349,11 +349,15 @@ class TestPairError:
         assert np.array_equal(_max_pair_error(X), dense_max_pair_error(X))
 
     @pytest.mark.parametrize("fn, shape", [(_max_pair_error, (20000, 20, 3)),
-                                           (sim._max_pair_sq, (2000, 20, 3, 20))],
-                             ids=["single", "batched"])
+                                           (sim._max_pair_sq, (2000, 20, 3, 20)),
+                                           (_max_pair_error, (40000, 4, 9))],
+                             ids=["single", "batched", "single-pairwise"])
     def test_peak_allocation_is_a_few_chunks(self, fn, shape):
         # beyond the array it returns, the reduction holds two chunk-sized
-        # buffers (the dense gather held four), however many steps it gets
+        # buffers (the dense gather held four), however many steps it gets,
+        # also where numpy sums the components pairwise (n >= 8); each
+        # shape fills whole chunks at both horizons (7281 steps at N = 4,
+        # n = 9)
         rng = np.random.default_rng(2)
         peaks = [traced_peak(fn, rng.standard_normal((T,) + shape[1:]))
                  for T in (shape[0] // 4, shape[0])]
@@ -536,19 +540,23 @@ class TestDivergenceGuard:
     """Every propagation path raises Diverged once a run's state norm
     passes DIVERGENCE_LIMIT, also while it is still finite."""
 
-    def unstable_config(self, **kw):
-        bad = ProtocolRealization(kind="p1", rho=1.0, P=-np.eye(1))
-        m = AgentModel.full_state([[0.0]], [[1.0]], [[1.0]])
-        return SimConfig(model=m, graph=CommGraph(np.array([[0.0, 0], [1, 0]])),
-                         protocol=bad, t_final=80.0, dt=1e-2,
+    def unstable_config(self, a=1.0, t_final=80.0, **kw):
+        # scalar agents dx = a x + u + w, a > 0, the follower coupled with
+        # weight 2a: their difference decays (modes -a and -sqrt(a^2 + 1)),
+        # so the step check passes, while the synchronized motion grows as
+        # e^(a t) until the guard stops the run
+        m = AgentModel.full_state([[a]], [[1.0]], [[1.0]])
+        real = ProtocolRealization(kind="p1", rho=1.0, P=[[a + math.sqrt(a * a + 1.0)]])
+        return SimConfig(model=m, graph=CommGraph(np.array([[0.0, 0], [2 * a, 0]])),
+                         protocol=real, t_final=t_final, dt=1e-2,
                          initial_conditions=np.array([[1.0], [-1.0]]), **kw)
 
     def test_simulate(self):
-        with pytest.raises(Diverged):
+        with pytest.raises(Diverged, match="state norm"):
             simulate(self.unstable_config(noise="white"))
 
     def test_monte_carlo_rms(self):
-        with pytest.raises(Diverged):
+        with pytest.raises(Diverged, match="state norm"):
             monte_carlo_rms(self.unstable_config(noise="white"), [0, 1])
 
     def test_white_noise_rms(self):
@@ -557,17 +565,56 @@ class TestDivergenceGuard:
 
     @pytest.mark.parametrize("noise", ["off", "white"])
     def test_overflow_inside_a_block_is_not_a_warning(self, noise):
-        # dt = 0.05 is past the RK4 stability limit of this loop: the
+        # at a = 100 the synchronized motion grows by about e a step: the
         # state overflows to inf and NaN within one block, and the guard
         # reports it instead of a numpy overflow warning
-        cfg = case1_p2_config(protocol=synthesize_p2(triple_integrator(), 10.0,
-                                                     delta_hint=0.0004),
-                              dt=0.05, t_final=20.0, noise=noise)
-        with pytest.raises(Diverged):
+        cfg = self.unstable_config(a=100.0, t_final=20.0, noise=noise)
+        with pytest.raises(Diverged, match="state norm"):
             simulate(cfg)
         if noise == "white":
-            with pytest.raises(Diverged):
+            with pytest.raises(Diverged, match="state norm"):
                 monte_carlo_rms(cfg, [0, 1])
+
+
+def complete_graph_config(w, **kw):
+    """The case-1 p2 design (rho 4) on the complete 3-agent digraph with
+    every weight w: at dt = 1e-2 its fastest mode, -4 * 3w, leaves the
+    RK4 stability region between w = 23.2 and w = 23.22."""
+    kw = {"dt": 1e-2, "t_final": 50.0, "noise": "white", "seed": 1, **kw}
+    return case1_p2_config(graph=CommGraph(w * (np.ones((3, 3)) - np.eye(3))), **kw)
+
+
+class TestStepCheck:
+    """A run whose step grows a mode of the error-form loop is refused
+    with Diverged before its first step."""
+
+    def test_unstable_step_refused(self):
+        # the step grows by 1.00167 a step, so over 5000 steps the run
+        # stays under DIVERGENCE_LIMIT and would return an RMS of about 4.9e5
+        with pytest.raises(Diverged, match=r"dt / 2\^1 = 0.005"):
+            monte_carlo_rms(complete_graph_config(23.22), [1, 2, 3, 4])
+
+    def test_refused_before_the_first_step(self):
+        with pytest.raises(Diverged, match="grows a mode"):
+            next(sim.trajectory_blocks(complete_graph_config(23.22)))
+
+    def test_stable_step_runs(self):
+        _, rms_xbar = monte_carlo_rms(complete_graph_config(23.0), [1, 2, 3, 4])
+        assert rms_xbar.mean() < 1.2  # the loop's H2 norm is 1.1525
+
+    def test_zoh_step_of_a_hurwitz_loop_is_stable(self):
+        res = simulate(complete_graph_config(23.22, integrator="zoh", t_final=1.0))
+        assert np.isfinite(res.rms_sync_error)
+
+    @pytest.mark.parametrize("integrator", ["rk4", "zoh"])
+    def test_loop_not_hurwitz_has_no_stable_step(self, integrator):
+        # P = -1 flips the gain: the mode 1 of A - rho B B^T P grows
+        bad = ProtocolRealization(kind="p1", rho=1.0, P=-np.eye(1))
+        m = AgentModel.full_state([[0.0]], [[1.0]], [[1.0]])
+        cfg = SimConfig(model=m, graph=CommGraph(np.array([[0.0, 0], [1, 0]])),
+                        protocol=bad, t_final=80.0, dt=1e-2, integrator=integrator)
+        with pytest.raises(Diverged, match="no step is stable"):
+            simulate(cfg)
 
 
 class TestTrajectoryBlocks:
