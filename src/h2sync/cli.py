@@ -5,17 +5,18 @@ reproduce-case2.  Exit codes: 0 success, 1 solvability failure,
 2 input error (including unreadable files), 3 numerical failure or any
 other error.
 
-`simulate` and `reproduce-*` realize every rho before any run starts,
-then pass the runs through one ordered map: the builtin `map` in
-process, or a pool's `map` over forked workers, one per usable core up
-to the number of rho values.  Output files, stdout and failures
-are those of the serial order: the first failure in rho order is
-reported, the runs before it keep their files and lines, and no later
-run leaves a file.
+`simulate` and `reproduce-*` design once and pass their rho values
+through one ordered map of runs that each realize and simulate one rho:
+the builtin `map` in process, or a pool's `map` over forked workers,
+one per usable core up to the number of rho values.  Output files,
+stdout and failures are those of the serial order: the first failure
+in rho order is reported, the runs before it keep their files and
+lines, and no later run leaves a file.
 """
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from pathlib import Path
@@ -188,10 +189,16 @@ def _trajectory_csv(t, states, sync):
     return row * len(block) % tuple(block.ravel().tolist())
 
 
-def _simulate_one(cfg, path):
-    """One rho's run, the same call in a worker or in process: stream its
-    trajectory CSV to `path` block by block and return the tail RMS of its
-    sync error.  A run that fails leaves no file."""
+def _simulate_one(des, g, args, delta, rho, path):
+    """One rho's run, the same call in a worker or in process: realize
+    rho, stream its trajectory CSV to `path` block by block and return
+    the realization's delta and the tail RMS of its sync error.  A run
+    that fails leaves no file."""
+    cfg = SimConfig(
+        model=des.model, graph=g, protocol=des.realize(rho, delta),
+        t_final=args.t_final, dt=args.dt, noise=args.noise,
+        seed=args.seed, integrator=args.integrator,
+    )
     N, n = cfg.graph.n_agents, cfg.model.n
     cols = [f"x_{i}[{k}]" for i in range(1, N + 1) for k in range(1, n + 1)]
     sync = []
@@ -205,7 +212,7 @@ def _simulate_one(cfg, path):
     except BaseException:
         path.unlink(missing_ok=True)
         raise
-    return rms(np.concatenate(sync))
+    return cfg.protocol.delta, rms(np.concatenate(sync))
 
 
 def _pool(runs):
@@ -230,30 +237,21 @@ def _pool(runs):
 
 
 def _run_simulations(des, g, rhos, delta, args, out, case_name):
-    """Realize every rho, then simulate the realized ones through one
-    ordered map, in process or in forked workers, and report them in rho
-    order.  Output and failures are those of a serial loop: the first
-    failure in rho order is raised, the runs before it are printed and
-    keep their files, and no later run leaves a file or a summary."""
-    cfgs, failure = [], None
-    try:
-        for rho in rhos:
-            cfgs.append(SimConfig(
-                model=des.model, graph=g, protocol=des.realize(rho, delta),
-                t_final=args.t_final, dt=args.dt, noise=args.noise,
-                seed=args.seed, integrator=args.integrator,
-            ))
-    except Exception as exc:  # raised once the runs before it are reported
-        failure = exc
-    paths = [out / f"trajectory_{case_name}_rho{rho:g}.csv" for rho in rhos[:len(cfgs)]]
+    """Map `_simulate_one` over the rho values, in process or in forked
+    workers, and report the runs in rho order.  Output and failures are
+    those of a serial loop: the first failure in rho order, realizing or
+    running, is raised, the runs before it are printed and keep their
+    files, and no later run leaves a file or a summary."""
+    paths = [out / f"trajectory_{case_name}_rho{rho:g}.csv" for rho in rhos]
     summary = ["case,rho,delta,seed,rms_sync_error"]
+    run = functools.partial(_simulate_one, des, g, args, delta)
     try:
         # a failed result makes the pool's map cancel the runs not yet
         # started, and leaving the pool awaits the running ones
-        with _pool(len(cfgs)) as pool:
-            results = (map if pool is None else pool.map)(_simulate_one, cfgs, paths)
-            for rho, cfg, traj, rms_sync in zip(rhos, cfgs, paths, results):
-                d = "" if cfg.protocol.delta is None else f"{cfg.protocol.delta:.10g}"
+        with _pool(len(rhos)) as pool:
+            results = (map if pool is None else pool.map)(run, rhos, paths)
+            for rho, traj, (d, rms_sync) in zip(rhos, paths, results):
+                d = "" if d is None else f"{d:.10g}"
                 summary.append(f"{case_name},{rho:g},{d},{args.seed},{rms_sync:.10g}")
                 print(f"rho={rho:g}: rms_sync_error={rms_sync:.6g} -> {traj}")
     except BaseException as exc:
@@ -267,8 +265,6 @@ def _run_simulations(des, g, rhos, delta, args, out, case_name):
         if isinstance(exc, BrokenProcessPool):
             raise H2SyncError(f"the run for rho={rhos[failed]:g} was lost: {exc}") from None
         raise
-    if failure is not None:
-        raise failure
     (out / "summary.csv").write_text("\n".join(summary) + "\n")
     return EXIT_OK
 

@@ -272,10 +272,11 @@ def reduce_to_differences(cl: ClosedLoop, model: AgentModel,
     keep = np.r_[: (N - 1) * n, N * n : d - nc]
     # the difference states must close on themselves; leakage from the
     # absolute states means the loop was not built from a diffusive protocol
+    # (the cap's largest column norm is at most ||A_cl||_2 and needs no SVD)
     sums = (A_d[:, : N * n].reshape(-1, N, n).sum(axis=1),
             A_d[:, N * n :].reshape(-1, N, nc).sum(axis=1))
     leak = max(np.abs(s).max() for s in sums)
-    if leak > 1e-9 * (1.0 + np.linalg.norm(cl.A_cl, 2)):
+    if leak > 1e-9 * (1.0 + np.linalg.norm(cl.A_cl, axis=0).max()):
         raise DimensionMismatch(
             f"difference states do not decouple (leakage {leak:.2e}); "
             "is this a diffusively coupled network?"

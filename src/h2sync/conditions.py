@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     RankDeficientEverywhere,
+    _lines,
 )
 from .graph import CommGraph, has_spanning_tree
 from .linalg import _as_matrix, _as_system, spectral_abscissa
@@ -381,7 +382,7 @@ def parse_model(text: str) -> AgentModel:
     """Parse the model text format: `n m p w` header, then the entries
     of A (n rows), B (n rows), C (p rows), E (n rows), row-major."""
     tokens = []
-    for ln in text.splitlines():
+    for ln in _lines(text, "model"):
         ln = ln.split("#", 1)[0].strip()
         if ln:
             tokens.extend(ln.split())

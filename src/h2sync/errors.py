@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the text gate of the
+file parsers."""
 
 
 class H2SyncError(Exception):
@@ -82,3 +83,11 @@ class ParseError(H2SyncError):
             msg = f"line {line}: {msg}"
         super().__init__(msg)
         self.line = line
+
+
+def _lines(text, what):
+    """The lines of a file's text for the parser of `what`; ParseError
+    unless the text is a str."""
+    if not isinstance(text, str):
+        raise ParseError(f"{what} text must be a str, got {type(text).__name__}")
+    return text.splitlines()

@@ -13,7 +13,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, min_weight_full_bipartite_matching
 
 from . import tolerances
-from .errors import DimensionMismatch, ParseError, SpectrumMismatch
+from .errors import DimensionMismatch, ParseError, SpectrumMismatch, _lines
 from .linalg import _as_matrix
 
 __all__ = [
@@ -164,7 +164,7 @@ def parse_graph(text: str) -> CommGraph:
     """
     numbered = [
         (k, ln.strip())
-        for k, ln in enumerate(text.splitlines(), start=1)
+        for k, ln in enumerate(_lines(text, "graph"), start=1)
         if ln.strip() and not ln.lstrip().startswith("#")
     ]
     if not numbered:

@@ -76,18 +76,22 @@ def _as_matrix(M, name, rows=None, cols=None, ndim=2):
     return M
 
 
-def _as_system(A, B=None, C=None, names="ABC"):
+_OMITTED = object()  # an argument not passed, told apart from an explicit None
+
+
+def _as_system(A, B=_OMITTED, C=_OMITTED, names="ABC"):
     """The one input gate for state-space data: (A, B, C) as finite float
     matrices, A square with n >= 1, B with n rows and C with n columns
-    (zero columns of B or rows of C are legal); B or C left None stays
-    None.  `names`, one letter per matrix, label DimensionMismatch."""
+    (zero columns of B or rows of C are legal); B or C not passed is
+    None.  A matrix passed as None is refused like any other non-matrix.
+    `names`, one letter per matrix, label DimensionMismatch."""
     A = _as_matrix(A, names[0])
     n = A.shape[0]
     if n == 0 or A.shape[1] != n:
         raise DimensionMismatch(f"{names[0]} must be square with n >= 1, got {A.shape}")
     return (A,
-            None if B is None else _as_matrix(B, names[1], rows=n),
-            None if C is None else _as_matrix(C, names[2], cols=n))
+            None if B is _OMITTED else _as_matrix(B, names[1], rows=n),
+            None if C is _OMITTED else _as_matrix(C, names[2], cols=n))
 
 
 def spectral_abscissa(A):

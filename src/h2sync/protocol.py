@@ -53,6 +53,7 @@ from .errors import (
     NotPositiveDefinite,
     ParseError,
     RhoOutOfRange,
+    _lines,
 )
 from .graph import CommGraph
 from .linalg import (_as_matrix, _as_system, require_delta, require_rho, solve_care_standard,
@@ -270,7 +271,7 @@ def parse_realization(text: str) -> ProtocolRealization:
     """Parse the `realization_to_text` format.  Raises ParseError for a
     repeated or unknown header key, lines after the last block, and
     data that `ProtocolRealization` rejects (a delta in a p1 file)."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _lines(text, "realization") if ln.strip()]
     try:
         fields = {}
         i = 0

@@ -22,10 +22,11 @@ owns the divergence guard.  `simulate` collects the blocks;
 O(block + steps) memory; the Monte-Carlo helpers reduce each block to
 square sums and add them to a running sum with np.add.accumulate, one
 step at a time, so that no result depends on where blocks end.
-Before the first step, every run of a `SimConfig` checks that its step
-decays each mode of the error-form loop (`_step_growth` on the
-spectrum `modal_h2` reads off) and raises Diverged when one grows: a
-slowly growing run could stay under the guard and report a wrong RMS.
+Before the first step, every run checks that its step decays each
+mode (`_require_stable_step`): for a `SimConfig` the spectrum of the
+error-form loop that `modal_h2` reads off, for `white_noise_rms` the
+eigenvalues of its A.  It raises Diverged when one grows: a slowly
+growing run could stay under the guard and report a wrong RMS.
 `simulate` refuses a run whose trajectory would pass
 _SIMULATE_MAX_BYTES; such runs stream.  A `SimConfig` whose series of
 sync errors alone, 8 bytes a step, would pass it is refused when it is
@@ -267,22 +268,27 @@ def _step_growth(mu, dt, integrator):
     return growth.max()
 
 
+def _require_stable_step(mu, dt, integrator):
+    """Diverged when a step grows one of the modes mu (see `_step_growth`),
+    naming the largest dt / 2^k that is stable, if any."""
+    growth = _step_growth(mu, dt, integrator)
+    if not growth < 1.0:
+        k = next((k for k in range(1, 53)  # dt / 2^52 is past any usable step
+                  if _step_growth(mu, dt / 2**k, integrator) < 1.0), None)
+        raise Diverged(
+            f"the {integrator} step dt={dt:g} grows a mode of the loop "
+            f"(max |g(dt mu)| = {growth:.6g} >= 1); "
+            + ("no step is stable" if k is None else
+               f"dt / 2^{k} = {dt / 2**k:g} is the largest dt / 2^k that is stable"))
+
+
 def _start(cfg, seeds):
     """Step matrices, initial states (dim, len(seeds)) as `simulate`
     describes them, and one generator per seed.  Diverged, before the
-    first step, when a step grows a mode of the error-form loop (see
-    `_step_growth`)."""
+    first step, when a step grows a mode of the error-form loop."""
     rngs = _generators(seeds)
     mu = _modes(_assemble(cfg.model, cfg.protocol, laplacian(cfg.graph)))[-1]
-    growth = _step_growth(mu, cfg.dt, cfg.integrator)
-    if not growth < 1.0:
-        k = next((k for k in range(1, 53)  # dt / 2^52 is past any usable step
-                  if _step_growth(mu, cfg.dt / 2**k, cfg.integrator) < 1.0), None)
-        raise Diverged(
-            f"the {cfg.integrator} step dt={cfg.dt:g} grows a mode of the loop "
-            f"(max |g(dt mu)| = {growth:.6g} >= 1); "
-            + ("no step is stable" if k is None else
-               f"dt / 2^{k} = {cfg.dt / 2**k:g} is the largest dt / 2^k that is stable"))
+    _require_stable_step(mu, cfg.dt, cfg.integrator)
     cl = assemble_stacked(cfg.model, cfg.protocol, cfg.graph)
     M, K = step_matrices(cl.A_cl, cl.B_cl, cfg.dt, cfg.integrator)
     Nn = cfg.graph.n_agents * cfg.model.n
@@ -459,10 +465,12 @@ def white_noise_rms(A, B, C, dt, t_final, seeds):
     """Per-seed RMS of y = C z for dz = A z + B w under held white noise
     (zero initial state), RK4-stepped, over the last ceil(steps/2) of
     t_1, ..., t_steps as in `monte_carlo_rms`; the sanity kernel of the
-    H2-as-RMS checks, seeds batched as columns."""
+    H2-as-RMS checks, seeds batched as columns.  Diverged, before the
+    first step, when the step grows a mode (an eigenvalue of A)."""
     steps = _check_time_grid(dt, t_final)
     A, B, C = _as_system(A, B, C)
     rngs = _generators(seeds)
+    _require_stable_step(np.linalg.eigvals(A), dt, "rk4")
     M, K = step_matrices(A, B, dt, "rk4")
     blocks = _propagate(M, K, np.zeros((A.shape[0], len(rngs))), steps, dt, rngs)
     return _tail_rms(blocks, steps, lambda blk: ((C @ blk) ** 2).sum(axis=1))

@@ -410,6 +410,23 @@ class TestRhoOrder:
                          "trajectory_case1_rho6.csv"]
         assert [ln.split(":")[0] for ln in out.splitlines()] == ["rho=4", "rho=6"]
 
+    def test_realize_failure_at_middle_rho(self, run, monkeypatch):
+        # on two cores the rho=10 run may already be running in a worker
+        # when rho=6 fails; its file goes too
+        realize = protocol.ProtocolDesign.realize
+
+        def exhausted_at_6(self, rho, delta=None):
+            if rho == 6:
+                raise DeltaSearchExhausted("no feasible delta found for rho=6")
+            return realize(self, rho, delta)
+
+        monkeypatch.setattr(protocol.ProtocolDesign, "realize", exhausted_at_6)
+        code, out, err, files = run(self.ARGV)
+        assert code == 3
+        assert err == "numerical failure: no feasible delta found for rho=6\n"
+        assert files == ["run_config.txt", "trajectory_case1_rho4.csv"]
+        assert [ln.split(":")[0] for ln in out.splitlines()] == ["rho=4"]
+
     @pytest.mark.parametrize("run", ["usable"], indirect=True)
     def test_lost_worker_names_its_rho(self, run, monkeypatch):
         # a worker killed mid-run cannot remove its file; the parent does

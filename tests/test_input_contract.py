@@ -1,10 +1,11 @@
 """The input contract at the package boundary.
 
 Every public function that takes state-space matrices refuses a NaN
-entry, complex entries, a matrix of the wrong shape and an empty state
-(n = 0) with an H2SyncError subclass and no warning.  A realization is refused by every
-function that uses it with a model it does not fit.  Seeds, signals,
-graph headers, tolerances, rho, delta, dt and t_final values that are
+entry, complex entries, a matrix of the wrong shape, a matrix passed as
+None and an empty state (n = 0) with an H2SyncError subclass and no
+warning.  A realization is refused by every function that uses it with
+a model it does not fit.  Seeds, signals, graph headers, file text that
+is not a str, tolerances, rho, delta, dt and t_final values that are
 not real numbers, the arrays of an error-form loop's `ModeData`, a stacked
 loop that does not fit `reduce_to_differences`, and a graph, loop or
 `SimConfig` field of another type get typed errors as well, and the CLI
@@ -45,6 +46,7 @@ from h2sync.conditions import (
     full_report,
     invariant_zeros,
     model_to_text,
+    parse_model,
 )
 from h2sync.errors import (
     ConfigInvalid,
@@ -75,6 +77,7 @@ from h2sync.protocol import (
     _require_fits,
     controller_matrices,
     design,
+    parse_realization,
     realization_to_text,
     synthesize_p1,
     synthesize_p2,
@@ -127,12 +130,14 @@ def _with_nan(M):
 
 def _bad_arguments():
     """(id, function, arguments): each argument in turn with a NaN, with
-    complex entries and with a wrong shape, then every argument at n = 0."""
+    complex entries, with a wrong shape and as None, then every argument
+    at n = 0."""
     for name, (fn, roles) in MATRIX_FUNCTIONS.items():
         for k, role in enumerate(roles):
             for label, bad in (("nan", _with_nan(GOOD[role])),
                                ("complex", (1 + 1j) * np.asarray(GOOD[role])),
-                               ("shape", WRONG_SHAPE[role])):
+                               ("shape", WRONG_SHAPE[role]),
+                               ("none", None)):
                 args = [GOOD[r] for r in roles]
                 args[k] = bad
                 yield f"{name}-{label}-{role}", fn, args
@@ -516,6 +521,13 @@ class TestNoInputOrOutput:
     def test_norms_are_zero(self, B, C):
         assert _quietly(hinf_norm, GOOD["A"], B, C) == 0.0
         assert _quietly(h2_norm, GOOD["A"], B, C) == 0.0
+
+
+@pytest.mark.parametrize("parse", [parse_model, parse_graph, parse_realization],
+                         ids=lambda parse: parse.__name__)
+def test_file_text_of_another_type(parse):
+    with pytest.raises(ParseError, match="must be a str"):
+        _quietly(parse, b"2\n1 2 1\n")
 
 
 class TestGraphInputs:

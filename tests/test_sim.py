@@ -594,6 +594,12 @@ class TestStepCheck:
         with pytest.raises(Diverged, match=r"dt / 2\^1 = 0.005"):
             monte_carlo_rms(complete_graph_config(23.22), [1, 2, 3, 4])
 
+    def test_white_noise_rms_unstable_step_refused(self):
+        # dz = -z + w (H2 = 0.707): RK4 at dt = 2.8 grows by 1.022 a step,
+        # which stays under DIVERGENCE_LIMIT and would return RMS near 20
+        with pytest.raises(Diverged, match=r"dt / 2\^1 = 1.4 "):
+            white_noise_rms(-1.0, 1.0, 1.0, 2.8, 1000.0, [0, 1])
+
     def test_refused_before_the_first_step(self):
         with pytest.raises(Diverged, match="grows a mode"):
             next(sim.trajectory_blocks(complete_graph_config(23.22)))
