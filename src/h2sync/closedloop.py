@@ -4,7 +4,9 @@ Two independent assembly paths are provided on purpose:
 
 * `assemble_p1` / `assemble_p2` write the system in synchronization-
   error coordinates (the compact Hurwitz form the analysis works on)
-  once and return it as `ModeData`; its dense A_cl, B_cl, C_cl are
+  through one assembler, `_assemble`: Protocol 1's loop is the leading
+  (xbar, e) sub-loop of Protocol 2's, which appends the filter error
+  ebar.  Each returns a `ModeData`, whose dense A_cl, B_cl, C_cl are
   derived (`ModeData.dense`, agent by agent) on every read and not kept;
 * `assemble_stacked` builds the raw network of N plants plus their
   controllers straight from the protocol's canonical (Ac, Bc, Cc, Fc,
@@ -153,15 +155,6 @@ class ClosedLoop:
     C_cl: np.ndarray
 
 
-def _check_dims(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair, kind: str):
-    _require_fits(real, model)
-    _require_laplacian(lp)
-    if real.kind != kind:
-        raise DimensionMismatch(
-            f"realization kind {real.kind!r} does not match assembler {kind!r}"
-        )
-
-
 def assemble_p1(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair):
     """Error-form closed loop for Protocol 1, as `ModeData`: per agent
     the states (xbar, e), each of dimension n, with e = xbar - chibar.
@@ -169,15 +162,7 @@ def assemble_p1(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
         dxbar = [I (x) (A - rho BB^T P)] xbar + rho [I (x) BB^T P] e + (Pi (x) E) w
         de    = [I (x) A - rho Lbar (x) I] e + (Pi (x) E) w
     """
-    _check_dims(model, real, lp, "p1")
-    n, rho = model.n, real.rho
-    BBtP = model.B @ model.B.T @ real.P
-    return ModeData(
-        D=np.block([[model.A - rho * BBtP, rho * BBtP],
-                    [np.zeros((n, n)), model.A]]),
-        n=n, coupled=1, output=0, rho=rho, L_reduced=lp.L_reduced,
-        M=lp.Pi[None], E=np.vstack([model.E, model.E])[None],
-    )
+    return _assemble(model, real, lp, "p1")
 
 
 def assemble_p2(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair):
@@ -190,24 +175,33 @@ def assemble_p2(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
         debar = [I (x) (A - delta^-2 Q C^T C)] ebar + (Lbar Pi (x) E) w
         de    = [I (x) A - rho Lbar (x) I] e + rho ebar + (Pi (x) E) w
     """
-    _check_dims(model, real, lp, "p2")
+    return _assemble(model, real, lp, "p2")
+
+
+def _assemble(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair, kind=None):
+    """The error-form loop of the protocol `real` realizes, which must be
+    `kind` when one is given: Protocol 1's (xbar, e) loop with its input
+    Pi (x) [E; E], and for p2 that loop with the filter error ebar appended."""
+    _require_fits(real, model)
+    _require_laplacian(lp)
+    if kind is not None and real.kind != kind:
+        raise DimensionMismatch(
+            f"realization kind {real.kind!r} does not match assembler {kind!r}"
+        )
     n, rho = model.n, real.rho
+    b = 3 if real.kind == "p2" else 2  # blocks per agent: xbar, e (and ebar)
+    x, e, f = (slice(k * n, (k + 1) * n) for k in range(3))
     BBtP = model.B @ model.B.T @ real.P
-    filt = model.A - (real.Q_rho @ model.C.T @ model.C) / real.delta**2
-    zn, zE = np.zeros((n, n)), np.zeros_like(model.E)
-    return ModeData(
-        D=np.block([[model.A - rho * BBtP, rho * BBtP, zn],
-                    [zn, model.A, rho * np.eye(n)],
-                    [zn, zn, filt]]),
-        n=n, coupled=1, output=0, rho=rho, L_reduced=lp.L_reduced,
-        M=np.stack([lp.Pi, lp.L_reduced @ lp.Pi]),
-        E=np.stack([np.vstack([model.E, model.E, zE]), np.vstack([zE, zE, model.E])]),
-    )
-
-
-def _assemble(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair):
-    """The error-form loop of the protocol `real` realizes."""
-    return (assemble_p1 if real.kind == "p1" else assemble_p2)(model, real, lp)
+    D, E, M = np.zeros((b * n, b * n)), np.zeros((b - 1, b * n, model.w)), [lp.Pi]
+    D[x, x], D[x, e], D[e, e] = model.A - rho * BBtP, rho * BBtP, model.A
+    E[0, x] = E[0, e] = model.E
+    if b == 3:  # the filter error ebar: its row and column and the second input term
+        D[e, f] = rho * np.eye(n)
+        D[f, f] = model.A - (real.Q_rho @ model.C.T @ model.C) / real.delta**2
+        E[1, f] = model.E
+        M.append(lp.L_reduced @ lp.Pi)
+    return ModeData(D=D, n=n, coupled=1, output=0, rho=rho, L_reduced=lp.L_reduced,
+                    M=np.stack(M), E=E)
 
 
 def assemble_stacked(model: AgentModel, real: ProtocolRealization, g: CommGraph):

@@ -140,14 +140,17 @@ def require_lyapunov_residual(res, a_norm, x_norm, spectrum):
 def _solve_care(A, mid, Q, residual_cap):
     """Stabilizing solution of A^T X + X A - X mid X + Q = 0.
 
-    `mid` and `Q` must be symmetric.  The Hamiltonian
-    H = [[A, -mid], [-Q, -A^T]] is reduced by ordered real Schur; X is
+    `mid` and `Q` must be symmetric; a non-finite entry of the
+    Hamiltonian H = [[A, -mid], [-Q, -A^T]] (an overflow forming them)
+    is NoStabilizingSolution.  H is reduced by ordered real Schur; X is
     recovered from the basis of the n-dimensional stable invariant
     subspace.  Newton steps (Lyapunov solves on the closed loop) refine
     X while the residual exceeds `residual_cap`.
     """
     n = A.shape[0]
     H = np.block([[A, -mid], [-Q, -A.T]])
+    if not np.isfinite(H).all():
+        raise NoStabilizingSolution("Hamiltonian has a non-finite entry")
     ham_eigs = np.linalg.eigvals(H)
     on_axis = ham_eigs[_on_imag_axis(ham_eigs)]
     if on_axis.size:
@@ -212,12 +215,15 @@ def solve_care_standard(A, B):
 
     Returns a StableSubspaceResult whose closed_loop_spectrum contains
     the eigenvalues of A - B B^T P (all in the open left half plane).
-    Requires (A, B) stabilizable; otherwise NoStabilizingSolution.
+    Requires (A, B) stabilizable; otherwise NoStabilizingSolution, as
+    for a B B^T that overflows.
     """
     A, B, _ = _as_system(A, B)
     n = A.shape[0]
     cap = tolerances.DEFAULT.care_residual * (1.0 + np.linalg.norm(A, 2)) ** 2
-    P, res_norm = _solve_care(A, B @ B.T, np.eye(n), cap)
+    with np.errstate(all="ignore"):  # an overflow is refused by _solve_care
+        BBt = B @ B.T
+    P, res_norm = _solve_care(A, BBt, np.eye(n), cap)
 
     if np.linalg.eigvalsh(P).min() <= 0.0:
         raise NotPositiveDefinite(
@@ -237,6 +243,8 @@ def solve_filter_riccati(A, E, C, rho, delta):
     for rho fails one of three checks, which raises with its own message
     (naming neither value): `_solve_care` and the Hurwitz test of the
     filter matrix raise NoStabilizingSolution, Q > 0 NotPositiveDefinite.
+    Data whose middle matrix or E E^T overflows (delta**2 and rho**2
+    included, or delta**2 rounding to 0) is NoStabilizingSolution too.
     rho must pass `require_rho` and delta `require_delta`.
     """
     A, E, C = _as_system(A, E, C, names="AEC")
@@ -244,9 +252,14 @@ def solve_filter_riccati(A, E, C, rho, delta):
     require_rho(rho)
     require_delta(delta)
 
-    mid = C.T @ C / delta**2 - rho**2 * np.eye(n)
+    with np.errstate(all="ignore"):  # an overflow is refused by _solve_care
+        EEt = E @ E.T
+        try:
+            mid = C.T @ C / delta**2 - rho**2 * np.eye(n)
+        except OverflowError:  # delta**2 or rho**2 beyond the float range
+            mid = np.full((n, n), np.inf)
     cap = tolerances.DEFAULT.filter_residual * (1.0 + np.linalg.norm(A, 2)) ** 2
-    Q, res_norm = _solve_care(A.T, mid, E @ E.T, cap)
+    Q, res_norm = _solve_care(A.T, mid, EEt, cap)
 
     q_scale = max(1.0, np.linalg.norm(Q, 2))
     if np.linalg.eigvalsh(Q).min() <= tolerances.DEFAULT.symmetry * q_scale:

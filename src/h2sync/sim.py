@@ -109,8 +109,11 @@ def _check_time_grid(dt, t_final):
         raise ConfigInvalid(f"t_final / dt overflows the step count: {t_final} / {dt}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
+    """One run's settings, checked when made.  Frozen: change a field
+    with `dataclasses.replace`, which checks the new config again."""
+
     model: AgentModel
     graph: CommGraph
     protocol: ProtocolRealization
@@ -137,8 +140,8 @@ class SimConfig:
         _require_integrator(self.integrator)
         if self.initial_conditions is not None:
             try:
-                self.initial_conditions = _as_matrix(self.initial_conditions, "initial_conditions",
-                                                     self.graph.n_agents, self.model.n)
+                object.__setattr__(self, "initial_conditions", _as_matrix(
+                    self.initial_conditions, "initial_conditions", self.graph.n_agents, self.model.n))
             except DimensionMismatch as exc:  # a config field, not a system matrix
                 raise ConfigInvalid(str(exc)) from None
 

@@ -610,7 +610,13 @@ class TestOneStderrLine:
         # the delta search meets Lyapunov equations scipy would perturb
         (["synth", "--protocol", "p2", "--rho", "256"],
          "numerical failure: no feasible delta found"),
-    ], ids=["simulate", "synth"])
+        # rho**2 and delta**2 beyond the float range, or delta**2 rounding to 0
+        (["synth", "--protocol", "p2", "--rho", "1e300"],
+         "numerical failure: no feasible delta found"),
+        (["synth", "--protocol", "p2", "--rho", "4", "--delta", "1e-300"],
+         "numerical failure: filter Riccati failed at the given delta=1e-300: "
+         "Hamiltonian has a non-finite entry"),
+    ], ids=["simulate", "synth", "synth-rho-overflow", "synth-delta-underflow"])
     def test_exit_3_with_one_line(self, ref_files, argv, line):
         model, graph, tmp = ref_files
         if argv[0] == "simulate":

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -135,6 +137,25 @@ class TestAssembleP2:
         m0 = AgentModel(base.A, base.B, base.C, np.zeros((3, 1)))
         cl = assemble_p2(m0, real, laplacian(case1_graph()))
         assert np.all(cl.B_cl == 0.0)
+
+
+class TestSubLoop:
+    """Protocol 2 is Protocol 1 plus an observer: on one model, the p1
+    loop is the leading (xbar, e) sub-loop of the p2 loop with its first
+    input term, bit for bit."""
+
+    @pytest.mark.parametrize("rho", [1.0, 4.0, 10.0])
+    @pytest.mark.parametrize("graph", ["case1", "case2", "random-30"])
+    def test_p1_is_the_leading_p2_sub_loop(self, graph, rho):
+        g = (random_spanning_tree_graph(np.random.default_rng(30), 30)[0]
+             if graph == "random-30" else oracle_graph(graph))
+        model, lp = triple_integrator_full_state(), laplacian(g)  # C = I admits both
+        p1 = assemble_p1(model, design(model, "p1").realize(rho), lp)
+        p2 = assemble_p2(model, design(model, "p2").realize(rho), lp)
+        d = 2 * model.n
+        assert np.array_equal(p1.D, p2.D[:d, :d])
+        assert np.array_equal(p1.M[0], p2.M[0]) and np.array_equal(p1.E[0], p2.E[0][:d])
+        assert p1.M.shape[0] == 1 and p2.M.shape[0] == 2
 
 
 class TestStackedCrossCheck:
@@ -337,6 +358,15 @@ class TestOneRepresentation:
         for model, real, assemble in designs:
             md = assemble(model, real, lp)
             assert type(md) is ModeData and md.n_agents == 3
+
+    def test_one_assembler_builds_mode_data(self):
+        # p1 and p2 share one error-form assembler, not two near-copies
+        tree = ast.parse(inspect.getsource(closedloop))
+        builders = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                    for c in ast.walk(f) if isinstance(c, ast.Call)
+                    and getattr(c.func, "id", None) == "ModeData"}
+        assert builders == {"_assemble"}
+        assert inspect.getsource(closedloop).count("ModeData(") == 1
 
     def test_no_loop_with_two_disagreeing_copies(self, designs):
         # a dense triple with B doubled next to the modes it came from

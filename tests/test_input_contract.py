@@ -413,6 +413,18 @@ class TestSeedsAndSignals:
         return SimConfig(model=model, graph=graph, protocol=synthesize_p1(model, 2.0),
                          t_final=1.0, dt=1e-2, noise="white")
 
+    # a field assigned after the config is made would skip its check
+    @pytest.mark.parametrize("field, value", [("noise", "pink"),
+                                              ("initial_conditions", np.zeros((5, 5)))],
+                             ids=["noise", "initial_conditions"])
+    def test_sim_config_field_not_reassigned(self, field, value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(self.config(), field, value)
+
+    def test_sim_config_replace_is_checked(self):
+        with pytest.raises(ConfigInvalid, match="noise must be"):
+            _quietly(lambda cfg: dataclasses.replace(cfg, noise="pink"), self.config())
+
     @pytest.mark.parametrize("seeds", [[], [-1], [0.5]])
     def test_monte_carlo_rms(self, seeds):
         with pytest.raises(ConfigInvalid):

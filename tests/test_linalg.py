@@ -197,6 +197,21 @@ class TestFilterRiccati:
             solve_filter_riccati(m.A, m.E, m.C, 4.0, 1.0)
         assert str(exc.value) == "Hamiltonian has 2 eigenvalues on the imaginary axis"
 
+    @pytest.mark.parametrize("call", [
+        lambda: solve_care_standard(TRIPLE_A, 1e200 * TRIPLE_B),  # B B^T overflows
+        lambda: solve_filter_riccati(TRIPLE_A, TRIPLE_B, TRIPLE_C, 1e300, 1.0),  # rho**2
+        lambda: solve_filter_riccati(TRIPLE_A, TRIPLE_B, TRIPLE_C, 10 ** 400, 1.0),
+        lambda: solve_filter_riccati(TRIPLE_A, TRIPLE_B, TRIPLE_C, 4.0, 1e300),  # delta**2
+        lambda: solve_filter_riccati(TRIPLE_A, TRIPLE_B, TRIPLE_C, 4.0, 1e-300),  # delta**2 = 0
+        lambda: solve_filter_riccati(TRIPLE_A, 1e200 * TRIPLE_B, TRIPLE_C, 4.0, 1.0),  # E E^T
+    ], ids=["care-B", "filter-rho", "filter-rho-int", "filter-delta-large",
+            "filter-delta-small", "filter-E"])
+    def test_overflow_refused(self, call):
+        # refused before the eigensolve, with no numpy warning (the
+        # suite turns warnings into errors) and naming neither delta nor rho
+        with pytest.raises(NoStabilizingSolution, match="^Hamiltonian has a non-finite entry$"):
+            call()
+
     def test_scalar_closed_form(self):
         # A=0, E=C=1: Q^2 (delta^-2 - rho^2) = 1
         rho, delta = 1.0, 0.5
