@@ -143,8 +143,7 @@ def _outdir(args):
     recording every argument of the run."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    text = "\n".join(f"{k}={v}" for k, v in resolved.items()) + "\n"
+    text = "\n".join(f"{k}={v}" for k, v in sorted(vars(args).items())) + "\n"
     (out / "run_config.txt").write_text(text)
     return out
 

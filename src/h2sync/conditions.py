@@ -18,7 +18,7 @@ call.  Each report gets its own copies of the memo's arrays.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -344,8 +344,8 @@ def _from_key(key):
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _model_conditions(coupling, key):
-    """The model-only checks of `full_report` for the model in `key`:
-    (stabilizable, detectable, clhp, matched, X, minphase, zeros)."""
+    """The graph-free report of `full_report` (spanning_tree None) for
+    the model in `key`; never handed out, only copies of it."""
     A, B, C, E = _from_key(key)
     stab, detect, clhp = check_stabilizable(A, B), check_detectable(A, C), check_clhp(A)
     matched, X = check_disturbance_match(B, E)
@@ -353,7 +353,7 @@ def _model_conditions(coupling, key):
         minphase, zeros = check_minphase_leftinv(A, E, C)
     else:
         minphase, zeros = True, []
-    return stab, detect, clhp, matched, X, minphase, tuple(zeros or ())
+    return SolvabilityReport(coupling, stab, detect, clhp, None, matched, X, minphase, zeros or [])
 
 
 def full_report(model: AgentModel, g: Optional[CommGraph] = None, kind: Optional[str] = None):
@@ -363,19 +363,11 @@ def full_report(model: AgentModel, g: Optional[CommGraph] = None, kind: Optional
     exactly when C = I.  DimensionMismatch for p1 with C != I, another
     kind, a model that is not an AgentModel or a g that is not a CommGraph."""
     key = _memo_key(*_matrices(model))
-    coupling = _coupling(model, kind)
-    stab, detect, clhp, matched, X, minphase, zeros = _model_conditions(coupling, key)
-    return SolvabilityReport(
-        coupling_kind=coupling,
-        stabilizable=stab,
-        detectable=detect,
-        clhp_eigs=clhp,
-        spanning_tree=None if g is None else has_spanning_tree(g)[0],
-        disturbance_matched=matched,
-        disturbance_gain=X.copy(),
-        minphase_leftinv=minphase,
-        invariant_zeros=list(zeros),
-    )
+    half = _model_conditions(_coupling(model, kind), key)
+    return replace(
+        half, spanning_tree=None if g is None else has_spanning_tree(g)[0],
+        disturbance_gain=half.disturbance_gain.copy(),
+        invariant_zeros=list(half.invariant_zeros))
 
 
 def parse_model(text: str) -> AgentModel:

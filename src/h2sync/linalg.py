@@ -356,17 +356,19 @@ def hinf_norm(A, B, C):
     no midpoint gain exceeds lo, and returns (1 + tol) lo: within
     relative tol = `tolerances.DEFAULT.hinf_rel` of the norm, and
     (1 + tol) times a measured gain.  A must pass `require_hurwitz`.
-    Raises H2SyncError if the iteration has not stopped after
-    _HINF_MAX_STEPS steps.
+    Raises H2SyncError if B B^T or C^T C overflows, or if the iteration
+    has not stopped after _HINF_MAX_STEPS steps.
     """
     A, B, C = _as_system(A, B, C)
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        BBt, CtC = B @ B.T, C.T @ C
+    if not (np.isfinite(BBt).all() and np.isfinite(CtC).all()):
+        raise H2SyncError("B B^T or C^T C has a non-finite entry (an overflow)")
     tol = tolerances.DEFAULT.hinf_rel
     _, spectrum = is_hurwitz(A)
     require_hurwitz(spectrum)
     lo = max(_gain_at(A, B, C, 0.0), _gain_at(A, B, C, _resonant_frequency(spectrum)))
 
-    BBt = B @ B.T
-    CtC = C.T @ C
     gamma = (1.0 + 2.0 * tol) * lo
     if lo == 0.0:
         # G vanishes at both start frequencies.  Its largest Hankel

@@ -82,7 +82,8 @@ class ProtocolRealization:
 
     kind is "p1" or "p2"; delta and Q_rho are set for Protocol 2 only.
     Data no synthesis returns is rejected: RhoOutOfRange for rho, else
-    DimensionMismatch (P and Q_rho must be finite, symmetric, n x n).
+    DimensionMismatch (P and Q_rho must be finite, symmetric, n x n, and
+    delta**2 a positive finite float).
     """
 
     kind: str
@@ -101,6 +102,13 @@ class ProtocolRealization:
         self.P = _as_system(self.P, names="P")[0]
         if p2:
             require_delta(self.delta)
+            try:
+                square = float(self.delta) ** 2
+            except OverflowError:
+                square = np.inf
+            if not 0.0 < square < np.inf:  # every consumer divides by delta**2
+                raise DimensionMismatch(
+                    f"delta**2 is not a positive finite float at delta={self.delta!r}")
             self.Q_rho = _as_matrix(self.Q_rho, "Q_rho", self.n, self.n)
         blocks = [("P", self.P), ("Q_rho", self.Q_rho)] if p2 else [("P", self.P)]
         for label, M in blocks:
@@ -221,30 +229,25 @@ def controller_matrices(real: ProtocolRealization, model: AgentModel):
         dx_c = Ac x_c + Bc zeta + Cc zetahat,  u = Fc x_c,  xi = Hc x_c.
 
     Protocol 1: x_c = chi (n states).  Protocol 2: x_c = (xhat, chi)
-    (2n states); the exchanged signal xi is chi in both cases.
+    (2n states), Protocol 1's chi-controller behind the observer xhat,
+    which drives chi by rho xhat where Protocol 1 drives it by rho zeta.
+    The exchanged signal xi is chi in both cases.
     """
     _require_fits(real, model)
-    n, m, p = model.n, model.m, model.p
-    rho = real.rho
+    n, nc, rho = model.n, real.controller_state_dim, real.rho
+    xhat, chi = slice(0, n), slice(nc - n, nc)  # chi is the last n states
     BBtP = model.B @ model.B.T @ real.P
-    F_gain = -rho * model.B.T @ real.P
-    if real.kind == "p1":
-        Ac = model.A - rho * BBtP
-        Bc = rho * np.eye(n)
-        Cc = -rho * np.eye(n)
-        Fc = F_gain
-        Hc = np.eye(n)
-        return Ac, Bc, Cc, Fc, Hc
-    delta, Q = real.delta, real.Q_rho
-    filt = model.A - (Q @ model.C.T @ model.C) / delta**2
-    Ac = np.block([
-        [filt, np.zeros((n, n))],
-        [rho * np.eye(n), model.A - rho * BBtP],
-    ])
-    Bc = np.vstack([(Q @ model.C.T) / delta**2, np.zeros((n, p))])
-    Cc = np.vstack([-rho * BBtP, -rho * np.eye(n)])
-    Fc = np.hstack([np.zeros((m, n)), F_gain])
-    Hc = np.hstack([np.zeros((n, n)), np.eye(n)])
+    Ac, Bc, Cc = np.zeros((nc, nc)), np.zeros((nc, model.p)), np.zeros((nc, n))
+    Fc, Hc = np.zeros((model.m, nc)), np.zeros((n, nc))
+    Ac[chi, chi], Cc[chi] = model.A - rho * BBtP, -rho * np.eye(n)
+    Fc[:, chi], Hc[:, chi] = -rho * model.B.T @ real.P, np.eye(n)
+    if real.kind == "p1":  # zeta is the state itself (C = I)
+        Bc[chi] = rho * np.eye(n)
+    else:  # the observer xhat: its dynamics, its drive of chi, its zeta and zetahat
+        delta, Q = real.delta, real.Q_rho
+        Ac[xhat, xhat] = model.A - (Q @ model.C.T @ model.C) / delta**2
+        Ac[chi, xhat], Cc[xhat] = rho * np.eye(n), -rho * BBtP
+        Bc[xhat] = (Q @ model.C.T) / delta**2
     return Ac, Bc, Cc, Fc, Hc
 
 

@@ -281,6 +281,30 @@ class TestRhoAndDelta:
             _quietly(call, self.PARTIAL)
 
 
+class TestDeltaSquare:
+    """Every user of a p2 realization divides by delta**2, so a delta
+    whose square leaves the positive finite floats is refused where the
+    realization is made: `ProtocolRealization` with DimensionMismatch,
+    which `parse_realization` maps to ParseError."""
+
+    REAL = synthesize_p2(triple_integrator(), 4.0, delta_hint=CASE_DELTA)
+    DELTAS = {"overflows": 1e300, "underflows": 1e-200}
+
+    @pytest.mark.parametrize("delta", DELTAS.values(), ids=DELTAS)
+    def test_parse_refused(self, delta):
+        text = realization_to_text(self.REAL)
+        bad = text.replace(f"delta {CASE_DELTA:.17g}\n", f"delta {delta:.17g}\n")
+        assert bad != text
+        with pytest.raises(ParseError, match="delta"):
+            _quietly(parse_realization, bad)
+
+    @pytest.mark.parametrize("delta", DELTAS.values(), ids=DELTAS)
+    def test_realization_refused(self, delta):
+        real = self.REAL
+        with pytest.raises(DimensionMismatch, match="delta"):
+            _quietly(ProtocolRealization, "p2", real.rho, real.P, delta, real.Q_rho)
+
+
 class TestReduceToDifferences:
     """`reduce_to_differences` refuses a loop whose matrices are not
     those of a stacked loop of a whole N >= 2 agents for its model and

@@ -401,6 +401,18 @@ class TestHinfNorm:
         with pytest.raises(NotHurwitz):
             hinf_norm([[1.0]], [[1.0]], [[1.0]])
 
+    @pytest.mark.parametrize("big", ["B", "C"])
+    @pytest.mark.parametrize("A", [TRIPLE_A - np.eye(3), -np.eye(3)],
+                             ids=["triple-shifted", "minus-identity"])
+    def test_overflow_refused(self, A, big):
+        # B B^T or C^T C beyond the float range is refused before any
+        # eigensolve, with no numpy warning (the suite turns warnings
+        # into errors) and with H2SyncError itself, not a subclass
+        B, C = (1e200 * TRIPLE_B, TRIPLE_C) if big == "B" else (TRIPLE_B, 1e200 * TRIPLE_C)
+        with pytest.raises(H2SyncError, match="non-finite") as exc:
+            hinf_norm(A, B, C)
+        assert type(exc.value) is H2SyncError
+
     def test_hurwitz_margin(self):
         # stable, but inside the margin every Lyapunov solve also refuses
         with pytest.raises(NotHurwitz, match="spectral abscissa"):

@@ -3,7 +3,13 @@ import pytest
 
 from conftest import defect_a_model
 
-from h2sync.cases import case1_graph, case2_graph, triple_integrator, triple_integrator_full_state
+from h2sync.cases import (
+    CASE_DELTA,
+    case1_graph,
+    case2_graph,
+    triple_integrator,
+    triple_integrator_full_state,
+)
 from h2sync.conditions import AgentModel, full_report
 from h2sync.errors import (
     DeltaSearchExhausted,
@@ -216,6 +222,66 @@ class TestControllerMatrices:
         np.testing.assert_allclose(Fc, np.hstack([np.zeros((1, 3)), -rho * m.B.T @ P]))
         np.testing.assert_allclose(Hc, np.hstack([np.zeros((3, 3)), np.eye(3)]))
         assert real.controller_state_dim == 6
+
+
+def controller_by_blocks(real, model):
+    """(Ac, Bc, Cc, Fc, Hc) spelled out per kind with np.block, vstack
+    and hstack, the chi rows once for each kind: the construction
+    `controller_matrices` must equal bit for bit."""
+    n, m, p = model.n, model.m, model.p
+    rho = real.rho
+    BBtP = model.B @ model.B.T @ real.P
+    F_gain = -rho * model.B.T @ real.P
+    if real.kind == "p1":
+        return model.A - rho * BBtP, rho * np.eye(n), -rho * np.eye(n), F_gain, np.eye(n)
+    delta, Q = real.delta, real.Q_rho
+    filt = model.A - (Q @ model.C.T @ model.C) / delta**2
+    Ac = np.block([
+        [filt, np.zeros((n, n))],
+        [rho * np.eye(n), model.A - rho * BBtP],
+    ])
+    Bc = np.vstack([(Q @ model.C.T) / delta**2, np.zeros((n, p))])
+    Cc = np.vstack([-rho * BBtP, -rho * np.eye(n)])
+    Fc = np.hstack([np.zeros((m, n)), F_gain])
+    Hc = np.hstack([np.zeros((n, n)), np.eye(n)])
+    return Ac, Bc, Cc, Fc, Hc
+
+
+class TestControllerIsExact:
+    """Protocol 2's controller is Protocol 1's chi-controller behind the
+    observer xhat; `controller_matrices` builds both kinds by one fill."""
+
+    NAMES = ("Ac", "Bc", "Cc", "Fc", "Hc")
+    CASES = {
+        "p1-full-state": (triple_integrator_full_state, "p1"),
+        "p2-partial-state": (triple_integrator, "p2"),
+        "p2-full-state": (triple_integrator_full_state, "p2"),
+    }
+
+    @pytest.mark.parametrize("delta", [None, CASE_DELTA], ids=["delta-searched", "delta-given"])
+    @pytest.mark.parametrize("rho", [1.0, 4.0, 10.0])
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_block_construction(self, case, rho, delta):
+        make, kind = self.CASES[case]
+        model = make()
+        real = design(model, kind).realize(rho, delta)
+        got, ref = controller_matrices(real, model), controller_by_blocks(real, model)
+        for name, G, R in zip(self.NAMES, got, ref):
+            assert (G.shape, G.dtype) == (R.shape, R.dtype), name
+            assert np.array_equal(G, R) and G.tobytes() == R.tobytes(), name
+
+    @pytest.mark.parametrize("rho", [1.0, 4.0, 10.0])
+    def test_p1_is_the_chi_block_of_p2(self, rho):
+        # on a C = I model, p1's Ac, Cc, Fc and Hc are the chi blocks of
+        # p2's; only Bc differs (p1 reads zeta, p2 feeds it to xhat)
+        model = triple_integrator_full_state()
+        chi = slice(model.n, 2 * model.n)
+        Ac1, _, Cc1, Fc1, Hc1 = controller_matrices(design(model, "p1").realize(rho), model)
+        Ac2, _, Cc2, Fc2, Hc2 = controller_matrices(design(model, "p2").realize(rho), model)
+        assert np.array_equal(Ac1, Ac2[chi, chi])
+        assert np.array_equal(Cc1, Cc2[chi])
+        assert np.array_equal(Fc1, Fc2[:, chi])
+        assert np.array_equal(Hc1, Hc2[:, chi])
 
 
 class TestClosedLoopStabilityProperties:
