@@ -9,8 +9,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, min_weight_full_bipartite_matching
 
 from . import tolerances
 from .errors import DimensionMismatch, ParseError, SpectrumMismatch, _lines
@@ -96,19 +94,51 @@ def has_spanning_tree(g: CommGraph):
     edges; a_ij > 0 is the edge j -> i.  Roots are 0-based indices in
     ascending order.  A spanning tree exists exactly when one strongly
     connected component has no edge entering it; its members are the
-    roots.  DimensionMismatch unless g is a CommGraph.
+    roots.  One iterative depth-first pass (Kosaraju's first) finds a
+    node of a component no edge enters: the one that finishes last.
+    There is a tree exactly when that node reaches every node, and the
+    roots are then the nodes that reach it.  O(N + E), no recursion.
+    DimensionMismatch unless g is a CommGraph.
     """
     _require_graph(g)
-    A = g.adjacency
-    n_comp, labels = connected_components(csr_matrix(A), directed=True, connection="strong")
-    into, out_of = np.nonzero(A > 0)
-    cross = labels[into] != labels[out_of]
-    entered = np.zeros(n_comp, dtype=bool)
-    entered[labels[into[cross]]] = True
-    sources = np.flatnonzero(~entered)
-    if len(sources) != 1:
+    N = g.n_agents
+    into, out_of = np.nonzero(g.adjacency > 0)  # the edges out_of[k] -> into[k]
+    succ, pred = [[] for _ in range(N)], [[] for _ in range(N)]
+    for i, j in zip(into.tolist(), out_of.tolist()):
+        succ[j].append(i)
+        pred[i].append(j)
+    seen, last = [False] * N, 0
+    for s in range(N):
+        if seen[s]:
+            continue
+        seen[s] = True
+        stack = [(s, iter(succ[s]))]
+        while stack:
+            u, todo = stack[-1]
+            for v in todo:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append((v, iter(succ[v])))
+                    break
+            else:  # every successor of u is done: u finishes
+                stack.pop()
+                last = u
+    if not all(_reached(last, succ)):
         return False, []
-    return True, np.flatnonzero(labels == sources[0]).tolist()
+    return True, [k for k, r in enumerate(_reached(last, pred)) if r]
+
+
+def _reached(start, neighbours):
+    """Flags of the nodes reachable from `start` along `neighbours`."""
+    seen = [False] * len(neighbours)
+    seen[start] = True
+    stack = [start]
+    while stack:
+        for v in neighbours[stack.pop()]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return seen
 
 
 def reduced_spectrum_check(lp: LaplacianPair, tol: float):
@@ -119,8 +149,14 @@ def reduced_spectrum_check(lp: LaplacianPair, tol: float):
     pairs; raises SpectrumMismatch if any pair is further apart than
     `tol`, or if L does not have a simple zero eigenvalue (no spanning
     tree, or a construction bug); DimensionMismatch unless lp is a
-    LaplacianPair and tol a real number, finite and >= 0.
+    LaplacianPair and tol a real number, finite and >= 0.  The matching
+    comes from scipy.sparse.csgraph, which is imported on the first call
+    and by no other path of the package.
     """
+    # scipy.sparse adds about 5 MiB to a process; only this check needs it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
     _require_laplacian(lp)
     if not isinstance(tol, numbers.Real) or not (0.0 <= tol < np.inf):
         raise DimensionMismatch(f"tol must be finite and >= 0, got {tol}")

@@ -135,13 +135,19 @@ def _require_realization(real):
 def _require_fits(real, model: AgentModel):
     """Raise DimensionMismatch unless `real` is a ProtocolRealization
     that belongs to the AgentModel `model`: the same n and, for p1,
-    full-state coupling."""
+    full-state coupling, for p2 a finite observer gain Q_rho C^T / delta**2."""
     _require_realization(real)
     _require_model(model)
     if real.n != model.n:
         raise DimensionMismatch(f"realization built for n={real.n}, model has n={model.n}")
     if real.kind == "p1" and not _full_state(model):
         raise DimensionMismatch("a p1 realization needs a full-state coupled model (C = I)")
+    if real.kind == "p2":
+        with np.errstate(all="ignore"):  # a tiny delta**2 overflows the gain
+            gain = (real.Q_rho @ model.C.T) / real.delta**2
+        if not np.all(np.isfinite(gain)):
+            raise DimensionMismatch(
+                f"observer gain Q_rho C^T / delta**2 is not finite at delta={real.delta!r}")
 
 
 @dataclass

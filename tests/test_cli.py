@@ -482,11 +482,18 @@ def test_delta_refused_with_p1(command, ref_files, capsys):
 
 
 def test_import_loads_no_process_pool():
-    # the pool's modules load only when a run uses the pool
+    # the pool's modules load only when a run uses the pool, and
+    # scipy.sparse only when reduced_spectrum_check runs: neither the
+    # import nor the graph gate of full_report and design loads it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
-    code = ("import sys, h2sync.cli; print([m for m in "
-            "('multiprocessing', 'concurrent.futures.process') if m in sys.modules])")
+    code = ("import sys, h2sync.cli\n"
+            "from h2sync import case1_graph, case2_graph, design, full_report, "
+            "triple_integrator\n"
+            "full_report(triple_integrator(), case2_graph())\n"
+            "design(triple_integrator(), 'p2', case1_graph())\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process', "
+            "'scipy.sparse') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120, check=True)
     assert proc.stdout == "[]\n"

@@ -115,12 +115,34 @@ class TestSpanningTree:
             adj = rng.uniform(0.1, 2.0, (N, N)) * (rng.random((N, N)) < rng.uniform(0, 0.5))
             np.fill_diagonal(adj, 0.0)
             graphs.append(CommGraph(adj))
+        # then 50 larger ones, N up to 60: planted trees, and sparse
+        # digraphs of which some have none
+        for _ in range(25):
+            graphs.append(random_spanning_tree_graph(rng, int(rng.integers(13, 61)))[0])
+            N = int(rng.integers(13, 61))
+            adj = rng.uniform(0.1, 2.0, (N, N)) * (rng.random((N, N)) < rng.uniform(0, 8 / N))
+            np.fill_diagonal(adj, 0.0)
+            graphs.append(CommGraph(adj))
         outcomes = set()
         for g in graphs:
             expected = bfs_roots(g.adjacency)
             assert has_spanning_tree(g) == (bool(expected), expected)
             outcomes.add(bool(expected))
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("shape", ["path", "ring", "two-sources"])
+    def test_long_chains(self, shape):
+        # depth-first searches 2000 deep, past Python's recursion limit
+        N = 2000
+        adj = np.zeros((N, N))
+        adj[np.arange(1, N), np.arange(N - 1)] = 1.0  # the path 0 -> 1 -> ... -> N-1
+        expected = {"path": (True, [0]), "ring": (True, list(range(N))),
+                    "two-sources": (False, [])}[shape]
+        if shape == "ring":
+            adj[0, N - 1] = 1.0
+        elif shape == "two-sources":  # 0 -> N-1 only, and 1 -> 2 -> ... -> N-1
+            adj[1, 0], adj[N - 1, 0] = 0.0, 1.0
+        assert has_spanning_tree(CommGraph(adj)) == expected
 
     def test_planted_root_found(self):
         rng = np.random.default_rng(23)

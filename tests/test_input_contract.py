@@ -177,11 +177,16 @@ def _sim_config(model, real):
 
 
 class TestFit:
-    """A realization is used only with a model of its n, and a p1
-    realization only with a full-state coupled model."""
+    """A realization is used only with a model of its n, a p1
+    realization only with a full-state coupled model, and a p2
+    realization only while its observer gain Q_rho C^T / delta**2 is
+    finite."""
 
     P1 = synthesize_p1(triple_integrator_full_state(), 2.0)
     P2 = synthesize_p2(triple_integrator(), 4.0, delta_hint=4e-4)
+    # delta**2 = 1e-320 is a positive finite float, but the gain overflows
+    P2_TINY_DELTA = parse_realization(realization_to_text(P2).replace(
+        f"delta {P2.delta:.17g}\n", "delta 1e-160\n"))
     PARTIAL = triple_integrator()
     SCALAR_FULL = AgentModel.full_state([[0.0]], [[1.0]], [[1.0]])
     SCALAR_PARTIAL = AgentModel([[0.0]], [[1.0]], [[1.0]], [[1.0]])
@@ -189,6 +194,7 @@ class TestFit:
         "p1-on-partial": (PARTIAL, P1),
         "p1-n-mismatch": (SCALAR_FULL, P1),
         "p2-n-mismatch": (SCALAR_PARTIAL, P2),
+        "p2-gain-overflows": (PARTIAL, P2_TINY_DELTA),
     }
 
     USERS = {
