@@ -191,8 +191,7 @@ def _trajectory_csv(t, states, sync):
 def _simulate_one(des, g, args, delta, rho, path):
     """One rho's run, the same call in a worker or in process: realize
     rho, stream its trajectory CSV to `path` block by block and return
-    the realization's delta and the tail RMS of its sync error.  A run
-    that fails leaves no file."""
+    the realization's delta and the tail RMS of its sync error."""
     cfg = SimConfig(
         model=des.model, graph=g, protocol=des.realize(rho, delta),
         t_final=args.t_final, dt=args.dt, noise=args.noise,
@@ -201,16 +200,12 @@ def _simulate_one(des, g, args, delta, rho, path):
     N, n = cfg.graph.n_agents, cfg.model.n
     cols = [f"x_{i}[{k}]" for i in range(1, N + 1) for k in range(1, n + 1)]
     sync = []
-    try:
-        with path.open("w") as fh:
-            fh.write(",".join(["t", *cols, "sync_error"]) + "\n")
-            for i, states in trajectory_blocks(cfg):
-                se = _max_pair_error(states)
-                fh.write(_trajectory_csv(np.arange(i, i + len(se)) * cfg.dt, states, se))
-                sync.append(se)
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
+    with path.open("w") as fh:
+        fh.write(",".join(["t", *cols, "sync_error"]) + "\n")
+        for i, states in trajectory_blocks(cfg):
+            se = _max_pair_error(states)
+            fh.write(_trajectory_csv(np.arange(i, i + len(se)) * cfg.dt, states, se))
+            sync.append(se)
     return cfg.protocol.delta, rms(np.concatenate(sync))
 
 
@@ -240,7 +235,9 @@ def _run_simulations(des, g, rhos, delta, args, out, case_name):
     workers, and report the runs in rho order.  Output and failures are
     those of a serial loop: the first failure in rho order, realizing or
     running, is raised, the runs before it are printed and keep their
-    files, and no later run leaves a file or a summary."""
+    files, and no later run leaves a file or a summary.  A run that fails
+    leaves no file either: the handler removes it with the later ones,
+    after leaving the pool has waited for the running workers."""
     paths = [out / f"trajectory_{case_name}_rho{rho:g}.csv" for rho in rhos]
     summary = ["case,rho,delta,seed,rms_sync_error"]
     run = functools.partial(_simulate_one, des, g, args, delta)

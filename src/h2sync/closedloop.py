@@ -23,23 +23,25 @@ function as well as through the H2 norm.
 `h2sync.modal`: ordered agent by agent, an error-form A_cl is
 I (x) D - rho Lbar (x) S, one block D of size d (2n for p1, 3n for p2)
 per agent, coupled through the graph on the e block only (S selects
-it).  The dense Lyapunov solve on A_cl and the stacked assembly stay the
-reference paths.  A `ClosedLoop` is only its dense triple; `error_h2`
-solves any one densely, so the Hurwitz gate, not a tag, refuses a raw
-stacked loop (marginal along the synchronized motion).  Both paths take
-their Hurwitz-margin and Lyapunov-residual decisions from `linalg`
+it), and its input is Pi (x) E plus, for p2, Lbar Pi (x) E, whose graph
+factors `ModeData` derives from Lbar and does not take.  The dense
+Lyapunov solve on A_cl and the stacked assembly stay the reference
+paths.  A `ClosedLoop` is only its dense triple; `error_h2` solves any
+one densely, so the Hurwitz gate, not a tag, refuses a raw stacked loop
+(marginal along the synchronized motion).  Both paths take their
+Hurwitz-margin and Lyapunov-residual decisions from `linalg`
 (`require_hurwitz`, `require_lyapunov_residual`).
 """
 
 import io
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .conditions import AgentModel
-from .errors import DimensionMismatch, RhoOutOfRange
-from .graph import CommGraph, LaplacianPair, _require_laplacian, laplacian
+from .errors import DimensionMismatch, RhoOutOfRange, _require_instance
+from .graph import CommGraph, LaplacianPair, laplacian
 from .linalg import _as_matrix, h2_norm, require_rho
 from .modal import modal_h2
 from .protocol import ProtocolRealization, _require_fits, controller_matrices, design
@@ -62,59 +64,56 @@ class ModeData:
     """An error-form loop in agent-major order: the one definition of
     the loop, which the modal H2 kernel solves and `dense` lays out.
 
-    With z_k the d = b n states of agent k (k < N-1), the loop is
+    With z_k the d = b n states of agent k (k < N-1, b >= 2), the loop is
 
         dz = [I (x) D - rho Lbar (x) S] z + sum_a (M[a] (x) E[a]) w,
         y  = (I (x) C_out) z,
 
     where D is block upper triangular in n x n blocks, S is the
-    identity on block `coupled` and zero elsewhere, and C_out selects
-    block `output`.  M stacks the graph-side input factors (each
-    (N-1) x N) and E the matching agent-side blocks (each d x w).
-    A_cl, B_cl and C_cl read the dense triple afresh each time; the
-    loop never keeps it, so it stays the size of its blocks.  The arrays
-    must be finite, real and of these shapes, n, coupled and output
-    integers and rho a finite real number, checked when it is built.
+    identity on block `coupled` (e, block 1) and zero elsewhere, and
+    C_out selects block `output` (xbar, block 0).  E holds one or two
+    agent-side input blocks (each d x w).  M, the matching graph-side
+    factors (each (N-1) x N), is not set but derived from Lbar when the
+    loop is built: Pi = [I, -1], then Lbar Pi.  A_cl, B_cl and C_cl read
+    the dense triple afresh each time; the loop never keeps it, so it
+    stays the size of its blocks.  The arrays must be finite, real and
+    of these shapes, n an integer and rho a finite real number, checked
+    when it is built.
     """
+
+    coupled, output = 1, 0  # the blocks of e and xbar: constants, not fields
 
     D: np.ndarray
     n: int
-    coupled: int
-    output: int
     rho: float
     L_reduced: np.ndarray
-    M: np.ndarray
     E: np.ndarray
+    M: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        ints = (self.n, self.coupled, self.output)
-        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in ints):
-            raise DimensionMismatch(f"n, coupled and output must be integers, got {ints!r}")
+        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
+            raise DimensionMismatch(f"n must be an integer, got {self.n!r}")
         if not (isinstance(self.rho, numbers.Real) and -np.inf < self.rho < np.inf):
             raise DimensionMismatch(f"rho must be a finite real number, got {self.rho!r}")
         self.D, self.L_reduced = _as_matrix(self.D, "D"), _as_matrix(self.L_reduced, "L_reduced")
-        self.M, self.E = _as_matrix(self.M, "M", ndim=3), _as_matrix(self.E, "E", ndim=3)
+        self.E = _as_matrix(self.E, "E", ndim=3)
         b = self.D.shape[0] // self.n if self.n >= 1 else 0
-        if b < 1 or self.D.shape != (b * self.n, b * self.n):
+        if b < 2 or self.D.shape != (b * self.n, b * self.n):
             raise DimensionMismatch(
-                f"mode block of shape {self.D.shape} is not made of "
+                f"mode block of shape {self.D.shape} is not made of two or more "
                 f"{self.n} x {self.n} blocks"
             )
         m = self.L_reduced.shape[0]
         if m < 1 or self.L_reduced.shape != (m, m):
             raise DimensionMismatch(f"L_reduced must be square with N - 1 >= 1 rows, "
                                     f"got {self.L_reduced.shape}")
-        a = self.M.shape[0]
-        if self.M.shape != (a, m, m + 1) or self.E.shape[:2] != (a, b * self.n):
-            raise DimensionMismatch(
-                f"input factors M {self.M.shape} and E {self.E.shape} do not fit "
-                f"{m + 1} agents of {b * self.n} states"
-            )
-        if not (0 <= self.coupled < b and 0 <= self.output < b):
-            raise DimensionMismatch(f"blocks coupled={self.coupled}, output={self.output} "
-                                    f"not among the {b} blocks")
+        if not 1 <= self.E.shape[0] <= 2 or self.E.shape[1] != b * self.n:
+            raise DimensionMismatch(f"input blocks E {self.E.shape} are not one or two "
+                                    f"blocks of {b * self.n} rows")
         if np.tril(self.D.reshape(b, self.n, b, self.n).any(axis=(1, 3)), -1).any():
             raise DimensionMismatch("mode block is not block upper triangular")
+        Pi = np.hstack([np.eye(m), -np.ones((m, 1))])
+        self.M = np.stack([Pi, self.L_reduced @ Pi] if len(self.E) == 2 else [Pi])
 
     @property
     def n_agents(self):
@@ -181,9 +180,11 @@ def assemble_p2(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair)
 def _assemble(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair, kind=None):
     """The error-form loop of the protocol `real` realizes, which must be
     `kind` when one is given: Protocol 1's (xbar, e) loop with its input
-    Pi (x) [E; E], and for p2 that loop with the filter error ebar appended."""
+    Pi (x) [E; E], and for p2 that loop with the filter error ebar and its
+    input Lbar Pi (x) E appended.  `ModeData` derives the factors Pi and
+    Lbar Pi from Lbar."""
     _require_fits(real, model)
-    _require_laplacian(lp)
+    _require_instance(lp, LaplacianPair)
     if kind is not None and real.kind != kind:
         raise DimensionMismatch(
             f"realization kind {real.kind!r} does not match assembler {kind!r}"
@@ -192,16 +193,14 @@ def _assemble(model: AgentModel, real: ProtocolRealization, lp: LaplacianPair, k
     b = 3 if real.kind == "p2" else 2  # blocks per agent: xbar, e (and ebar)
     x, e, f = (slice(k * n, (k + 1) * n) for k in range(3))
     BBtP = model.B @ model.B.T @ real.P
-    D, E, M = np.zeros((b * n, b * n)), np.zeros((b - 1, b * n, model.w)), [lp.Pi]
+    D, E = np.zeros((b * n, b * n)), np.zeros((b - 1, b * n, model.w))
     D[x, x], D[x, e], D[e, e] = model.A - rho * BBtP, rho * BBtP, model.A
     E[0, x] = E[0, e] = model.E
     if b == 3:  # the filter error ebar: its row and column and the second input term
         D[e, f] = rho * np.eye(n)
         D[f, f] = model.A - (real.Q_rho @ model.C.T @ model.C) / real.delta**2
         E[1, f] = model.E
-        M.append(lp.L_reduced @ lp.Pi)
-    return ModeData(D=D, n=n, coupled=1, output=0, rho=rho, L_reduced=lp.L_reduced,
-                    M=np.stack(M), E=E)
+    return ModeData(D=D, n=n, rho=rho, L_reduced=lp.L_reduced, E=E)
 
 
 def assemble_stacked(model: AgentModel, real: ProtocolRealization, g: CommGraph):
@@ -246,8 +245,7 @@ def reduce_to_differences(cl: ClosedLoop, model: AgentModel,
     gives (model, real), or if its difference states do not close on
     themselves.
     """
-    if not isinstance(cl, ClosedLoop):
-        raise DimensionMismatch("reduce_to_differences expects a stacked ClosedLoop")
+    _require_instance(cl, ClosedLoop)
     _require_fits(real, model)
     n, nc = model.n, real.controller_state_dim
     N = (np.shape(cl.A_cl) or (0,))[0] // (n + nc)

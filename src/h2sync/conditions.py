@@ -32,6 +32,7 @@ from .errors import (
     PreconditionFailed,
     RankDeficientEverywhere,
     _lines,
+    _require_instance,
 )
 from .graph import CommGraph, has_spanning_tree
 from .linalg import _as_matrix, _as_system, spectral_abscissa
@@ -95,17 +96,11 @@ class AgentModel:
         return self.E.shape[1]
 
 
-def _require_model(model):
-    """DimensionMismatch unless model is an AgentModel."""
-    if not isinstance(model, AgentModel):
-        raise DimensionMismatch(f"expected an AgentModel, got {type(model).__name__}")
-
-
 def _matrices(model):
     """(A, B, C, E) of `model` through the `linalg` input gate, as they
     are now: the fields are plain attributes a caller may reassign.
     DimensionMismatch unless model is an AgentModel."""
-    _require_model(model)
+    _require_instance(model, AgentModel)
     A, B, C = _as_system(model.A, model.B, model.C)
     return A, B, C, _as_system(A, model.E, names="AE")[1]
 

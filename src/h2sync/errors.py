@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the text gate of the
-file parsers."""
+"""Exception types shared across the toolkit, the text gate of the file
+parsers and the one type gate of the objects the other functions take."""
 
 
 class H2SyncError(Exception):
@@ -91,3 +91,10 @@ def _lines(text, what):
     if not isinstance(text, str):
         raise ParseError(f"{what} text must be a str, got {type(text).__name__}")
     return text.splitlines()
+
+
+def _require_instance(obj, cls):
+    """DimensionMismatch unless obj is a `cls`."""
+    if not isinstance(obj, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DimensionMismatch(f"expected {article} {cls.__name__}, got {type(obj).__name__}")

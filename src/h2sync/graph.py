@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import DimensionMismatch, ParseError, SpectrumMismatch, _lines
+from .errors import DimensionMismatch, ParseError, SpectrumMismatch, _lines, _require_instance
 from .linalg import _as_matrix
 
 __all__ = [
@@ -63,22 +63,10 @@ class LaplacianPair:
     Pi: np.ndarray
 
 
-def _require_graph(g):
-    """DimensionMismatch unless g is a CommGraph."""
-    if not isinstance(g, CommGraph):
-        raise DimensionMismatch(f"expected a CommGraph, got {type(g).__name__}")
-
-
-def _require_laplacian(lp):
-    """DimensionMismatch unless lp is a LaplacianPair."""
-    if not isinstance(lp, LaplacianPair):
-        raise DimensionMismatch(f"expected a LaplacianPair, got {type(lp).__name__}")
-
-
 def laplacian(g: CommGraph) -> LaplacianPair:
     """Build (L, L_reduced, Pi) from the adjacency weights;
     DimensionMismatch unless g is a CommGraph."""
-    _require_graph(g)
+    _require_instance(g, CommGraph)
     A = g.adjacency
     N = g.n_agents
     L = np.diag(A.sum(axis=1)) - A
@@ -100,7 +88,7 @@ def has_spanning_tree(g: CommGraph):
     roots are then the nodes that reach it.  O(N + E), no recursion.
     DimensionMismatch unless g is a CommGraph.
     """
-    _require_graph(g)
+    _require_instance(g, CommGraph)
     N = g.n_agents
     into, out_of = np.nonzero(g.adjacency > 0)  # the edges out_of[k] -> into[k]
     succ, pred = [[] for _ in range(N)], [[] for _ in range(N)]
@@ -157,7 +145,7 @@ def reduced_spectrum_check(lp: LaplacianPair, tol: float):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    _require_laplacian(lp)
+    _require_instance(lp, LaplacianPair)
     if not isinstance(tol, numbers.Real) or not (0.0 <= tol < np.inf):
         raise DimensionMismatch(f"tol must be finite and >= 0, got {tol}")
     ev_L = np.linalg.eigvals(lp.L)
@@ -253,7 +241,7 @@ def parse_graph(text: str) -> CommGraph:
 def graph_to_text(g: CommGraph) -> str:
     """Serialize as an edge list (1-based), round-trippable via parse_graph;
     DimensionMismatch unless g is a CommGraph."""
-    _require_graph(g)
+    _require_instance(g, CommGraph)
     out = [str(g.n_agents)]
     ii, jj = np.nonzero(g.adjacency)
     for i, j in zip(ii, jj):

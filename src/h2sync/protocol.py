@@ -43,7 +43,6 @@ from .conditions import (
     _full_state,
     _matrices,
     _memo_key,
-    _require_model,
     full_report,
 )
 from .errors import (
@@ -54,6 +53,7 @@ from .errors import (
     ParseError,
     RhoOutOfRange,
     _lines,
+    _require_instance,
 )
 from .graph import CommGraph
 from .linalg import (_as_matrix, _as_system, require_delta, require_rho, solve_care_standard,
@@ -126,18 +126,12 @@ class ProtocolRealization:
         return self.n if self.kind == "p1" else 2 * self.n
 
 
-def _require_realization(real):
-    """DimensionMismatch unless real is a ProtocolRealization."""
-    if not isinstance(real, ProtocolRealization):
-        raise DimensionMismatch(f"expected a ProtocolRealization, got {type(real).__name__}")
-
-
 def _require_fits(real, model: AgentModel):
     """Raise DimensionMismatch unless `real` is a ProtocolRealization
     that belongs to the AgentModel `model`: the same n and, for p1,
     full-state coupling, for p2 a finite observer gain Q_rho C^T / delta**2."""
-    _require_realization(real)
-    _require_model(model)
+    _require_instance(real, ProtocolRealization)
+    _require_instance(model, AgentModel)
     if real.n != model.n:
         raise DimensionMismatch(f"realization built for n={real.n}, model has n={model.n}")
     if real.kind == "p1" and not _full_state(model):
@@ -266,7 +260,7 @@ def _fmt_matrix(name, M, out):
 def realization_to_text(real: ProtocolRealization) -> str:
     """Flat text serialization, bit-exact round trip (17 significant digits);
     DimensionMismatch unless real is a ProtocolRealization."""
-    _require_realization(real)
+    _require_instance(real, ProtocolRealization)
     out = [f"kind {real.kind}", f"n {real.n}", f"rho {real.rho:.17g}"]
     if real.kind == "p2":
         out.append(f"delta {real.delta:.17g}")

@@ -15,8 +15,8 @@ simulation is bit-reproducible from (config, seed).
 
 Every path runs that map in one kernel, `_propagate`, which fills
 blocks of full loop states, at most _BLOCK_BYTES each, in place: the
-block starts as K w from one batched product over its steps, and each
-step adds M z to its row.  It yields the agent rows of each block and
+block starts as K w from one batched product over its steps (as zeros
+without noise), and each step adds M z to its row.  It yields the agent rows of each block and
 owns the divergence guard.  `simulate` collects the blocks;
 `trajectory_blocks` hands them on, so the CLI writes trajectories in
 O(block + steps) memory; the Monte-Carlo helpers reduce each block to
@@ -211,10 +211,10 @@ def _propagate(M, K, z, steps, dt, rngs=None, keep=None):
     sized by max(dim, nw) within _BLOCK_BYTES.  With `rngs`, one per run,
     each block draws its w from every generator in turn, scaled by
     sqrt(1/dt), and starts as the block's K w in one batched product (the
-    same product per step as K @ w); each step then adds M z in place.
-    Without `rngs`, w = 0 and each step writes M z into the block.  The
-    yielded rows are views of the block.  Raises Diverged when a block
-    ends non-finite or with a run's norm above DIVERGENCE_LIMIT."""
+    same product per step as K @ w); without, w = 0 and the block starts
+    as zeros.  Each step then adds M z in place.  The yielded rows are
+    views of the block.  Raises Diverged when a block ends non-finite or
+    with a run's norm above DIVERGENCE_LIMIT."""
     keep = z.shape[0] if keep is None else keep
     nw = K.shape[1]
     rows = _block_rows(max(z.shape[0], nw), math.prod(z.shape[1:]))
@@ -228,14 +228,11 @@ def _propagate(M, K, z, steps, dt, rngs=None, keep=None):
             if rngs:
                 W = np.stack([rng.standard_normal((c, nw)) for rng in rngs], axis=2) * sd
                 blk = np.matmul(K, W).reshape((c,) + z.shape)
-                blk[0] += M @ z
-                for j in range(1, c):
-                    blk[j] += M @ blk[j - 1]
             else:
-                blk = np.empty((c,) + z.shape)
-                np.matmul(M, z, out=blk[0])
-                for j in range(1, c):
-                    np.matmul(M, blk[j - 1], out=blk[j])
+                blk = np.zeros((c,) + z.shape)
+            blk[0] += M @ z
+            for j in range(1, c):
+                blk[j] += M @ blk[j - 1]
             z = blk[-1]
             norm = np.linalg.norm(z, axis=0).max()
         if not norm <= DIVERGENCE_LIMIT:  # a non-finite state fails too

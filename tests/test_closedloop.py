@@ -353,6 +353,22 @@ class TestOneRepresentation:
     def test_laplacian_pair_holds_only_its_matrices(self):
         assert [f.name for f in dataclasses.fields(LaplacianPair)] == ["L", "L_reduced", "Pi"]
 
+    def test_mode_data_is_set_by_its_blocks_alone(self):
+        # the input factors M are derived from Lbar, and the coupled and
+        # output blocks are the same for every loop
+        assert [f.name for f in dataclasses.fields(ModeData) if f.init] == [
+            "D", "n", "rho", "L_reduced", "E"]
+        assert (ModeData.coupled, ModeData.output) == (1, 0)
+
+    @pytest.mark.parametrize("graph", ["case1", "case2", "random-30"])
+    def test_input_factors_are_pi_and_lbar_pi(self, designs, graph):
+        g = (random_spanning_tree_graph(np.random.default_rng(30), 30)[0]
+             if graph == "random-30" else oracle_graph(graph))
+        lp = laplacian(g)
+        factors = np.stack([lp.Pi, lp.L_reduced @ lp.Pi])
+        for (model, real, assemble), terms in zip(designs, (1, 2)):
+            assert np.array_equal(assemble(model, real, lp).M, factors[:terms])
+
     def test_assemblers_return_mode_data(self, designs):
         lp = laplacian(case1_graph())
         for model, real, assemble in designs:
@@ -507,7 +523,7 @@ def ring_graph(n_agents):
     return CommGraph(adj)
 
 
-def hand_built_modes(rng, lp, b, n, coupled, output, rho=3.0, w=2):
+def hand_built_modes(rng, lp, b, n, rho=3.0, w=2):
     """A ModeData loop with b random blocks of size n: Hurwitz diagonal
     blocks (so every mode is Hurwitz for any Lbar with a spanning tree),
     random blocks above them and zeros below, and two input channels
@@ -518,16 +534,13 @@ def hand_built_modes(rng, lp, b, n, coupled, output, rho=3.0, w=2):
         blk = slice(p * n, (p + 1) * n)
         X = rng.standard_normal((n, n))
         D[blk, blk] = X - (np.abs(np.linalg.eigvals(X)).max() + 0.5) * np.eye(n)
-    return closedloop.ModeData(
-        D=D, n=n, coupled=coupled, output=output, rho=rho, L_reduced=lp.L_reduced,
-        M=np.stack([lp.Pi, lp.L_reduced @ lp.Pi]), E=rng.standard_normal((2, d, w)),
-    )
+    return closedloop.ModeData(D=D, n=n, rho=rho, L_reduced=lp.L_reduced,
+                               E=rng.standard_normal((2, d, w)))
 
 
-# (b, n, coupled, output): two, three and four blocks; the coupled block
-# first, in the middle and last; outputs other than block 0
-HAND_BUILT = [(2, 2, 0, 1), (2, 3, 1, 0), (3, 2, 0, 2), (3, 3, 1, 0), (3, 2, 2, 1),
-              (4, 2, 0, 3), (4, 1, 2, 1), (4, 2, 3, 2)]
+# (b, n): two, three and four blocks, so the coupled block 1 is last, in
+# the middle and with two blocks after it
+HAND_BUILT = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 1), (4, 2)]
 
 
 class TestModalKernel:
@@ -535,12 +548,12 @@ class TestModalKernel:
     assemblers never build."""
 
     @pytest.mark.parametrize("graph", ["chain5", "random4", "random7"])
-    @pytest.mark.parametrize("b, n, coupled, output", HAND_BUILT)
-    def test_hand_built_matches_dense(self, graph, b, n, coupled, output):
+    @pytest.mark.parametrize("b, n", HAND_BUILT)
+    def test_hand_built_matches_dense(self, graph, b, n):
         g = chain_graph(5) if graph == "chain5" else oracle_graph(graph)
         lp = laplacian(g)
-        rng = np.random.default_rng([b, n, coupled, output, int(graph[-1])])
-        md = hand_built_modes(rng, lp, b, n, coupled, output)
+        rng = np.random.default_rng([b, n, int(graph[-1])])
+        md = hand_built_modes(rng, lp, b, n)
         A, B, C = md.dense()
         h2, spectrum = modal.modal_h2(md)
         assert h2 == pytest.approx(h2_norm(A, B, C), rel=1e-8)

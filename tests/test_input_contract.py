@@ -366,6 +366,11 @@ class TestArgumentTypes:
         "full_report-none": (lambda: full_report(None), "AgentModel"),
         "design-none": (lambda: design(None, "p2"), "AgentModel"),
         "model_to_text-none": (lambda: model_to_text(None), "AgentModel"),
+        "laplacian-array": (lambda: laplacian(np.zeros((3, 3))), "CommGraph"),
+        "has_spanning_tree-array": (lambda: has_spanning_tree(np.zeros((3, 3))), "CommGraph"),
+        "reduce_to_differences-mode-data": (lambda: reduce_to_differences(
+            assemble_p1(TestArgumentTypes.FULL, TestFit.P1, laplacian(case1_graph())),
+            TestArgumentTypes.FULL, TestFit.P1), "ClosedLoop"),
     }
 
     @pytest.mark.parametrize("row", ROWS)
@@ -383,14 +388,14 @@ MODES = assemble_p2(triple_integrator(), synthesize_p2(triple_integrator(), 4.0,
 
 def _mode_rows(md):
     """(id, field, bad value): `md` with a non-finite, complex, text,
-    ragged or misshapen array or an index out of range."""
-    for field in ("D", "L_reduced", "M", "E"):
+    ragged or misshapen array, one block or three input terms."""
+    for field in ("D", "L_reduced", "E"):
         for label, bad in (("nan", np.nan), ("inf", np.inf)):
             v = getattr(md, field).copy()
             v.flat[-1] = bad
             yield f"{field}-{label}", field, v
         yield f"{field}-complex", field, (1 + 1j) * getattr(md, field)
-    for field in ("D", "M", "E"):
+    for field in ("D", "E"):
         yield f"{field}-text", field, getattr(md, field).astype(str)
         ragged = getattr(md, field).tolist()
         ragged[-1] = ragged[-1][:-1]  # nested lists numpy cannot stack
@@ -398,16 +403,14 @@ def _mode_rows(md):
     yield "D-not-blocks", "D", md.D[:-1, :-1]
     yield "L_reduced-not-square", "L_reduced", md.L_reduced[:, :1]
     yield "L_reduced-empty", "L_reduced", np.zeros((0, 0))
-    yield "M-agents", "M", md.M[:, :, :-1]
+    yield "D-one-block", "D", md.D[: md.n, : md.n]
     yield "E-rows", "E", md.E[:, :-1]
     yield "E-2d", "E", md.E[0]
-    yield "coupled-out-of-range", "coupled", 3
+    yield "E-three-terms", "E", np.concatenate([md.E, md.E[:1]])
     yield "n-zero", "n", 0
     yield "n-float", "n", 1.5
     yield "n-text", "n", "3"
     yield "n-bool", "n", True
-    yield "coupled-float", "coupled", 1.0
-    yield "output-text", "output", "0"
     yield "rho-text", "rho", "4"
     yield "rho-nan", "rho", np.nan
     yield "rho-inf", "rho", np.inf
@@ -417,9 +420,10 @@ MODE_ROWS = list(_mode_rows(MODES))
 
 
 class TestModeData:
-    """A `ModeData` with non-finite, complex or misshapen arrays, block
-    indices that are not integers or a rho that is not a finite real
-    number is refused when it is built, so `error_h2` never sees it."""
+    """A `ModeData` with non-finite, complex or misshapen arrays, fewer
+    than two blocks, other than one or two input terms, an n that is not
+    an integer or a rho that is not a finite real number is refused when
+    it is built, so `error_h2` never sees it."""
 
     @pytest.mark.parametrize("field, bad", [r[1:] for r in MODE_ROWS],
                              ids=[r[0] for r in MODE_ROWS])
