@@ -44,8 +44,7 @@ EXIT_SOLVABILITY = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-_INPUT_ERRORS = (ParseError, ConfigInvalid, DimensionMismatch, OSError)
-_SOLVABILITY_ERRORS = (PreconditionFailed, RhoOutOfRange)
+_INPUT_ERRORS = (ParseError, ConfigInvalid, DimensionMismatch, RhoOutOfRange, OSError)
 
 
 def _rho_list(text):
@@ -297,7 +296,7 @@ def main(argv=None):
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _SOLVABILITY_ERRORS as exc:
+    except PreconditionFailed as exc:
         print(f"solvability error: {exc}", file=sys.stderr)
         return EXIT_SOLVABILITY
     except H2SyncError as exc:  # every other toolkit error is numerical

@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModeData:
     """An error-form loop in agent-major order: the one definition of
     the loop, which the modal H2 kernel solves and `dense` lays out.
@@ -78,7 +78,8 @@ class ModeData:
     the dense triple afresh each time; the loop never keeps it, so it
     stays the size of its blocks.  The arrays must be finite, real and
     of these shapes, n an integer and rho a finite real number, checked
-    when it is built.
+    when it is built.  Frozen: change a field with `dataclasses.replace`,
+    which checks the new loop again and derives its M afresh.
     """
 
     coupled, output = 1, 0  # the blocks of e and xbar: constants, not fields
@@ -95,25 +96,27 @@ class ModeData:
             raise DimensionMismatch(f"n must be an integer, got {self.n!r}")
         if not (isinstance(self.rho, numbers.Real) and -np.inf < self.rho < np.inf):
             raise DimensionMismatch(f"rho must be a finite real number, got {self.rho!r}")
-        self.D, self.L_reduced = _as_matrix(self.D, "D"), _as_matrix(self.L_reduced, "L_reduced")
-        self.E = _as_matrix(self.E, "E", ndim=3)
-        b = self.D.shape[0] // self.n if self.n >= 1 else 0
-        if b < 2 or self.D.shape != (b * self.n, b * self.n):
+        D, L_reduced = _as_matrix(self.D, "D"), _as_matrix(self.L_reduced, "L_reduced")
+        E = _as_matrix(self.E, "E", ndim=3)
+        b = D.shape[0] // self.n if self.n >= 1 else 0
+        if b < 2 or D.shape != (b * self.n, b * self.n):
             raise DimensionMismatch(
-                f"mode block of shape {self.D.shape} is not made of two or more "
+                f"mode block of shape {D.shape} is not made of two or more "
                 f"{self.n} x {self.n} blocks"
             )
-        m = self.L_reduced.shape[0]
-        if m < 1 or self.L_reduced.shape != (m, m):
+        m = L_reduced.shape[0]
+        if m < 1 or L_reduced.shape != (m, m):
             raise DimensionMismatch(f"L_reduced must be square with N - 1 >= 1 rows, "
-                                    f"got {self.L_reduced.shape}")
-        if not 1 <= self.E.shape[0] <= 2 or self.E.shape[1] != b * self.n:
-            raise DimensionMismatch(f"input blocks E {self.E.shape} are not one or two "
+                                    f"got {L_reduced.shape}")
+        if not 1 <= E.shape[0] <= 2 or E.shape[1] != b * self.n:
+            raise DimensionMismatch(f"input blocks E {E.shape} are not one or two "
                                     f"blocks of {b * self.n} rows")
-        if np.tril(self.D.reshape(b, self.n, b, self.n).any(axis=(1, 3)), -1).any():
+        if np.tril(D.reshape(b, self.n, b, self.n).any(axis=(1, 3)), -1).any():
             raise DimensionMismatch("mode block is not block upper triangular")
         Pi = np.hstack([np.eye(m), -np.ones((m, 1))])
-        self.M = np.stack([Pi, self.L_reduced @ Pi] if len(self.E) == 2 else [Pi])
+        M = np.stack([Pi, L_reduced @ Pi] if len(E) == 2 else [Pi])
+        for name, value in (("D", D), ("L_reduced", L_reduced), ("E", E), ("M", M)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_agents(self):
@@ -287,9 +290,7 @@ def error_h2(cl: ModeData | ClosedLoop):
     """
     if isinstance(cl, ModeData):
         return modal_h2(cl)[0]
-    if not isinstance(cl, ClosedLoop):
-        raise DimensionMismatch(f"error_h2 expects a ModeData or a ClosedLoop, "
-                                f"got {type(cl).__name__}")
+    _require_instance(cl, (ModeData, ClosedLoop))
     return h2_norm(cl.A_cl, cl.B_cl, cl.C_cl)
 
 

@@ -62,9 +62,12 @@ _RANK_PROBE_SEED = 1729
 _MEMO_SIZE = 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentModel:
-    """One agent of the homogeneous network: dx = Ax + Bu + Ew, y = Cx."""
+    """One agent of the homogeneous network: dx = Ax + Bu + Ew, y = Cx.
+    A, B, C and E go through the `linalg` input gate when the model is
+    made.  Frozen: change a field with `dataclasses.replace`, which
+    checks the new model again."""
 
     A: np.ndarray
     B: np.ndarray
@@ -72,7 +75,10 @@ class AgentModel:
     E: np.ndarray
 
     def __post_init__(self):
-        self.A, self.B, self.C, self.E = _matrices(self)
+        A, B, C = _as_system(self.A, self.B, self.C)
+        E = _as_system(A, self.E, names="AE")[1]
+        for name, M in zip("ABCE", (A, B, C, E)):
+            object.__setattr__(self, name, M)
 
     @classmethod
     def full_state(cls, A, B, E):
@@ -96,18 +102,10 @@ class AgentModel:
         return self.E.shape[1]
 
 
-def _matrices(model):
-    """(A, B, C, E) of `model` through the `linalg` input gate, as they
-    are now: the fields are plain attributes a caller may reassign.
-    DimensionMismatch unless model is an AgentModel."""
-    _require_instance(model, AgentModel)
-    A, B, C = _as_system(model.A, model.B, model.C)
-    return A, B, C, _as_system(A, model.E, names="AE")[1]
-
-
-@dataclass
+@dataclass(frozen=True)
 class SolvabilityReport:
-    """Outcome of every applicable solvability check."""
+    """Outcome of every applicable solvability check.  Frozen, so
+    `overall` always reads the conditions it was made with."""
 
     coupling_kind: str
     stabilizable: bool
@@ -121,7 +119,7 @@ class SolvabilityReport:
     overall: bool = field(init=False)
 
     def __post_init__(self):
-        self.overall = not self.failed_conditions()
+        object.__setattr__(self, "overall", not self.failed_conditions())
 
     def condition_values(self):
         """(letter, name, passed) for each condition of the coupling,
@@ -357,7 +355,8 @@ def full_report(model: AgentModel, g: Optional[CommGraph] = None, kind: Optional
     full-state conditions, "p2" the partial-state ones, None those of p1
     exactly when C = I.  DimensionMismatch for p1 with C != I, another
     kind, a model that is not an AgentModel or a g that is not a CommGraph."""
-    key = _memo_key(*_matrices(model))
+    _require_instance(model, AgentModel)
+    key = _memo_key(model.A, model.B, model.C, model.E)
     half = _model_conditions(_coupling(model, kind), key)
     return replace(
         half, spanning_tree=None if g is None else has_spanning_tree(g)[0],
@@ -401,9 +400,9 @@ def parse_model(text: str) -> AgentModel:
 
 def model_to_text(model: AgentModel) -> str:
     """Serialize a model in the `parse_model` format."""
-    A, B, C, E = _matrices(model)
-    out = [f"{A.shape[0]} {B.shape[1]} {C.shape[0]} {E.shape[1]}"]
-    for M in (A, B, C, E):
+    _require_instance(model, AgentModel)
+    out = [f"{model.n} {model.m} {model.p} {model.w}"]
+    for M in (model.A, model.B, model.C, model.E):
         for row in M:
             out.append(" ".join(f"{v:.17g}" for v in row))
     return "\n".join(out) + "\n"

@@ -94,7 +94,8 @@ def _lines(text, what):
 
 
 def _require_instance(obj, cls):
-    """DimensionMismatch unless obj is a `cls`."""
+    """DimensionMismatch unless obj is a `cls`, a class or a tuple of them."""
     if not isinstance(obj, cls):
-        article = "an" if cls.__name__[0] in "AEIOU" else "a"
-        raise DimensionMismatch(f"expected {article} {cls.__name__}, got {type(obj).__name__}")
+        names = " or ".join(("an " if c.__name__[0] in "AEIOU" else "a ") + c.__name__
+                            for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise DimensionMismatch(f"expected {names}, got {type(obj).__name__}")

@@ -25,9 +25,11 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommGraph:
-    """Weighted directed graph on N >= 2 agents, no self-loops."""
+    """Weighted directed graph on N >= 2 agents, no self-loops, checked
+    when made.  Frozen: change the adjacency with `dataclasses.replace`,
+    which checks it again."""
 
     adjacency: np.ndarray
 
@@ -41,7 +43,7 @@ class CommGraph:
             raise DimensionMismatch("adjacency weights must be nonnegative")
         if np.any(np.diag(A) != 0):
             raise DimensionMismatch("self-loops (a_ii != 0) are not allowed")
-        self.adjacency = A
+        object.__setattr__(self, "adjacency", A)
 
     @property
     def n_agents(self):

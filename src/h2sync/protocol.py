@@ -41,7 +41,6 @@ from .conditions import (
     AgentModel,
     _from_key,
     _full_state,
-    _matrices,
     _memo_key,
     full_report,
 )
@@ -76,14 +75,16 @@ DELTA_SEARCH_FLOOR = 1e-12
 _HALVING = tuple(2.0**-k for k in range(1075) if 2.0**-k > DELTA_SEARCH_FLOOR)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolRealization:
     """Synthesized controller data for one value of rho.
 
     kind is "p1" or "p2"; delta and Q_rho are set for Protocol 2 only.
-    Data no synthesis returns is rejected: RhoOutOfRange for rho, else
-    DimensionMismatch (P and Q_rho must be finite, symmetric, n x n, and
-    delta**2 a positive finite float).
+    Data no synthesis returns is rejected when the realization is made:
+    RhoOutOfRange for rho, else DimensionMismatch (P and Q_rho must be
+    finite, symmetric, n x n, and delta**2 a positive finite float).
+    Frozen: change a field with `dataclasses.replace`, which checks the
+    new realization again.
     """
 
     kind: str
@@ -99,7 +100,7 @@ class ProtocolRealization:
         p2 = self.kind == "p2"
         if p2 != (self.delta is not None) or p2 != (self.Q_rho is not None):
             raise DimensionMismatch("delta and Q_rho are set for p2 and only for p2")
-        self.P = _as_system(self.P, names="P")[0]
+        object.__setattr__(self, "P", _as_system(self.P, names="P")[0])
         if p2:
             require_delta(self.delta)
             try:
@@ -109,7 +110,7 @@ class ProtocolRealization:
             if not 0.0 < square < np.inf:  # every consumer divides by delta**2
                 raise DimensionMismatch(
                     f"delta**2 is not a positive finite float at delta={self.delta!r}")
-            self.Q_rho = _as_matrix(self.Q_rho, "Q_rho", self.n, self.n)
+            object.__setattr__(self, "Q_rho", _as_matrix(self.Q_rho, "Q_rho", self.n, self.n))
         blocks = [("P", self.P), ("Q_rho", self.Q_rho)] if p2 else [("P", self.P)]
         for label, M in blocks:
             asym = np.linalg.norm(M - M.T)
@@ -167,8 +168,9 @@ class ProtocolDesign:
         if delta is not None:
             require_delta(delta)
             delta = float(delta)
-        A, _, C, E = _matrices(self.model)
-        d, Q = _filter_solution(_memo_key(A, C, E), rho, delta)
+        _require_instance(self.model, AgentModel)  # a design may be built by hand
+        m = self.model
+        d, Q = _filter_solution(_memo_key(m.A, m.C, m.E), rho, delta)
         return ProtocolRealization("p2", rho, self.P, d, Q.copy())
 
 
@@ -206,7 +208,7 @@ def design(model: AgentModel, kind: str, g: Optional[CommGraph] = None) -> Proto
     if kind not in ("p1", "p2"):  # the report also takes None
         raise DimensionMismatch(f"unknown protocol kind {kind!r}")
     full_report(model, g, kind).require()
-    P = _care_solution(_memo_key(*_matrices(model)[:2])).copy()
+    P = _care_solution(_memo_key(model.A, model.B)).copy()
     return ProtocolDesign(model=model, kind=kind, P=P)
 
 

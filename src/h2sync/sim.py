@@ -47,7 +47,7 @@ more components, which it sums pairwise).
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -55,7 +55,7 @@ import scipy.linalg as sla
 
 from .closedloop import _assemble, assemble_stacked, error_h2
 from .conditions import AgentModel
-from .errors import ConfigInvalid, DimensionMismatch, Diverged
+from .errors import ConfigInvalid, DimensionMismatch, Diverged, _require_instance
 from .graph import CommGraph, laplacian
 from .linalg import _as_matrix, _as_system
 from .modal import _modes
@@ -123,17 +123,15 @@ class SimConfig:
     seed: int = 0
     initial_conditions: Optional[np.ndarray] = None
     integrator: str = "rk4"
+    steps: int = field(init=False)  # round(t_final / dt), counted by the check
 
     def __post_init__(self):
-        for name, kind in (("model", AgentModel), ("graph", CommGraph),
-                           ("protocol", ProtocolRealization)):
-            if not isinstance(getattr(self, name), kind):
-                raise ConfigInvalid(f"{name} must be a {kind.__name__}, "
-                                    f"got {type(getattr(self, name)).__name__}")
+        _require_instance(self.graph, CommGraph)
         steps = _check_time_grid(self.dt, self.t_final)
         if 8 * (steps + 1) > _SIMULATE_MAX_BYTES:
             raise ConfigInvalid(f"t_final / dt = {steps} steps would keep {8 * (steps + 1)} "
                                 f"bytes of sync error (cap {_SIMULATE_MAX_BYTES})")
+        object.__setattr__(self, "steps", steps)
         _require_fits(self.protocol, self.model)
         if self.noise not in ("off", "white"):
             raise ConfigInvalid(f"noise must be 'off' or 'white', got {self.noise!r}")
@@ -144,10 +142,6 @@ class SimConfig:
                     self.initial_conditions, "initial_conditions", self.graph.n_agents, self.model.n))
             except DimensionMismatch as exc:  # a config field, not a system matrix
                 raise ConfigInvalid(str(exc)) from None
-
-    @property
-    def steps(self):
-        return _check_time_grid(self.dt, self.t_final)
 
 
 @dataclass

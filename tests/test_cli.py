@@ -25,7 +25,7 @@ from h2sync.cases import (
 from h2sync.cli import main
 from h2sync.closedloop import rho_scaling_probe
 from h2sync.conditions import model_to_text
-from h2sync.errors import DeltaSearchExhausted, Diverged
+from h2sync.errors import DeltaSearchExhausted, Diverged, RhoOutOfRange
 from h2sync.graph import graph_to_text
 from h2sync.protocol import parse_realization, synthesize_p2
 
@@ -601,6 +601,19 @@ class TestBoundary:
         err = capsys.readouterr().err
         assert err.startswith("unexpected error: RuntimeError")
         assert err.count("\n") == 1
+
+    def test_rho_out_of_range_exits_2(self, ref_files, monkeypatch, capsys):
+        # exit 1 is a failed solvability condition and nothing else; a rho
+        # below 1 is an input, as `--rho` already reports it
+        def refused(*args, **kwargs):
+            raise RhoOutOfRange("rho must be finite and >= 1, got 0.5")
+
+        monkeypatch.setattr(cli, "design", refused)
+        model, _, tmp = ref_files
+        code = main(["synth", "--model", model, "--protocol", "p2", "--rho", "4",
+                     "--out", str(tmp / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "input error: rho must be finite and >= 1, got 0.5\n"
 
 
 class TestOneStderrLine:

@@ -73,6 +73,7 @@ from h2sync.linalg import (
     spectral_abscissa,
 )
 from h2sync.protocol import (
+    ProtocolDesign,
     ProtocolRealization,
     _require_fits,
     controller_matrices,
@@ -366,6 +367,8 @@ class TestArgumentTypes:
         "full_report-none": (lambda: full_report(None), "AgentModel"),
         "design-none": (lambda: design(None, "p2"), "AgentModel"),
         "model_to_text-none": (lambda: model_to_text(None), "AgentModel"),
+        "realize-model-none": (lambda: ProtocolDesign(None, "p2", TestFit.P2.P).realize(4.0),
+                               "AgentModel"),
         "laplacian-array": (lambda: laplacian(np.zeros((3, 3))), "CommGraph"),
         "has_spanning_tree-array": (lambda: has_spanning_tree(np.zeros((3, 3))), "CommGraph"),
         "reduce_to_differences-mode-data": (lambda: reduce_to_differences(
@@ -527,14 +530,17 @@ class TestSeedsAndSignals:
         with pytest.raises(ConfigInvalid, match=r"\(T, k\)"):
             _quietly(rms, signal)
 
-    @pytest.mark.parametrize("field, bad", [("model", np.eye(3)), ("graph", np.zeros((3, 3))),
-                                            ("protocol", None)],
-                             ids=["model", "graph", "protocol"])
-    def test_sim_config_field_of_another_type(self, field, bad):
-        # refused when the config is made, not by the first run that reads it
+    @pytest.mark.parametrize("field, bad, expected", [
+        ("model", np.eye(3), "AgentModel, got ndarray"),
+        ("graph", np.zeros((3, 3)), "CommGraph, got ndarray"),
+        ("protocol", None, "ProtocolRealization, got NoneType")],
+        ids=["model", "graph", "protocol"])
+    def test_sim_config_field_of_another_type(self, field, bad, expected):
+        # refused when the config is made, not by the first run that reads
+        # it, by the one type gate every other argument goes through
         fields = dict(model=triple_integrator(), graph=case1_graph(), t_final=1.0,
                       protocol=synthesize_p2(triple_integrator(), 4.0, delta_hint=CASE_DELTA))
-        with pytest.raises(ConfigInvalid, match=f"{field} must be a"):
+        with pytest.raises(DimensionMismatch, match=f"^expected an? {expected}$"):
             _quietly(lambda: SimConfig(**{**fields, field: bad}))
 
     @pytest.mark.parametrize("run, match", [

@@ -11,6 +11,7 @@ import re
 import pytest
 from test_tolerances import MODULES
 
+from h2sync.closedloop import ClosedLoop, ModeData
 from h2sync.conditions import AgentModel
 from h2sync.errors import DimensionMismatch, _require_instance
 from h2sync.graph import CommGraph
@@ -88,6 +89,7 @@ def test_guard_sees_the_pattern(source, flagged):
 @pytest.mark.parametrize("obj, cls, message", [
     (None, CommGraph, "expected a CommGraph, got NoneType"),
     ([[0.0]], AgentModel, "expected an AgentModel, got list"),
+    (None, (ModeData, ClosedLoop), "expected a ModeData or a ClosedLoop, got NoneType"),
 ])
 def test_gate_names_both_types(obj, cls, message):
     with pytest.raises(DimensionMismatch) as exc:
